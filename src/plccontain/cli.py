@@ -27,7 +27,8 @@ from .containment import ConfigError, containment_checker
 from .mutation import (MutationInapplicable, MutationSpec, SelectorNotFound,
                        mutate)
 from .oracle import DEFAULT_WINDOW
-from .path_engine import cover_to_json, path_constructor
+from .path_engine import (TrackerLimitExceeded, cover_to_json,
+                          path_constructor)
 from .petri_net import net_to_json, translate
 from .report import build_report, render_json, render_text
 from .sfc_core import SfcError, parse_sfc, pretty_print, validate_sfc
@@ -76,11 +77,15 @@ def parse_map_file(text: str):
     return f_in, f_out, eta_v
 
 
-def _load_program(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        return FsPath(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_program(path: str):
+    text = _read_text(path)
     try:
         prog = parse_sfc(text)
     except SfcError as exc:
@@ -99,8 +104,7 @@ def cmd_check(cfg: CheckConfig) -> int:
     f_in = f_out = None
     hints = []
     if cfg.map_path:
-        f_in, f_out, hints = parse_map_file(
-            FsPath(cfg.map_path).read_text(encoding="utf-8"))
+        f_in, f_out, hints = parse_map_file(_read_text(cfg.map_path))
     verdict = containment_checker(n0, n1, f_in, f_out,
                                   settings=cfg.settings(),
                                   eta_v_hints=hints)
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
             print(p1)
             return 0
     except (ConfigError, SfcError, SelectorNotFound, MutationInapplicable,
-            GenerationRetryExceeded) as exc:
+            GenerationRetryExceeded, TrackerLimitExceeded) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

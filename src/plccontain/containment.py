@@ -458,7 +458,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
             # Strict prefixes consume the grown path (it cannot match as
             # is); equal-length transform mismatches may just be a shifted
             # chunk boundary, so those extensions are speculative and the
-            # original stays в the pool for fault attribution.
+            # original stays in the pool for fault attribution.
             acted = False
             for beta, res in results:
                 sa, sb = res.seq_alpha, res.seq_beta

@@ -7,10 +7,35 @@ are added during a structural token-tracking pass: whenever the marking
 reached after a firing round touches a known cut-point or a place on a
 loop, leaves a loop, or holds tokens produced at different ticks, every
 place of that marking becomes a cut-point and one path per marked place is
-reconstructed backward through the firing history. Tracking explores every
-alternative maximal firing set, traverses each loop once (a transition
-never fires twice on one branch), and never fires synchronizing
-transitions. Passes repeat until the cut-point set stabilizes.
+reconstructed backward through the producers of its tokens. Tracking
+explores every alternative maximal firing set, traverses each loop once (a
+transition never fires twice on one branch), and never fires
+synchronizing transitions. Passes repeat until the cut-point set
+stabilizes.
+
+Tracking is a depth-first walk on an explicit stack, memoised on local
+state. Below every node with two or more structural sets, each child is
+keyed by
+  * its marking, with, for each marked place, the producer's tick
+    relative to the current round and the interned id of the place's
+    backward cone (the firings a backward walk from it covers, down to the
+    cut-points);
+  * the transitions fired on this branch that can still become enabled:
+    non-synchronizing ones whose pre-places lie in the forward closure of
+    the marking.
+A child whose key was already explored in this pass is skipped with its
+subtree. The key fixes all the subtree does: the sets it fires (marking and
+the relevant fired transitions), its cut-point hits (marking and tick
+differences) and its backward walks, which leave the subtree only through
+the producers of the marked places. In the final pass the cut-point set
+stays constant, so a skipped subtree could only rediscover records already
+found (whose tick stamps the first discovery fixes), markings already seen
+and no new cut-points: the cover equals that of the full walk. In earlier
+passes a skip can only delay a cut-point to a later pass. The hit test is
+monotone in the cut-point set, and a pass that adds nothing is a fixpoint
+of the full walk, so the passes end at the same set. Keys are checked only
+below branching nodes, where two routes can meet, and cone ids are interned
+only for keys, so straight runs pay nothing.
 
 Each path carries its execution condition (one normalized guard entry per
 round, conjoined over simultaneous transitions), its data transformation
@@ -81,53 +106,75 @@ def _back_edge_targets(net: PetriNet) -> frozenset:
     roots += [p.id for p in sorted(net.places, key=lambda p: natural_key(p.id))
               if p.id not in net.initial_marking]
 
-    def visit(pid):
-        color[pid] = 1
-        for _t, q in _successor_places(net, pid):
-            c = color.get(q, 0)
-            if c == 1:
-                targets.add(q)
-            elif c == 0:
-                visit(q)
-        color[pid] = 2
-
     for r in roots:
-        if color.get(r, 0) == 0:
-            visit(r)
+        if r in color:
+            continue
+        color[r] = 1
+        stack = [(r, iter(_successor_places(net, r)))]
+        while stack:
+            pid, succ = stack[-1]
+            for _t, q in succ:
+                c = color.get(q, 0)
+                if c == 1:
+                    targets.add(q)
+                elif c == 0:
+                    color[q] = 1
+                    stack.append((q, iter(_successor_places(net, q))))
+                    break
+            else:
+                color[pid] = 2
+                stack.pop()
     return frozenset(targets)
 
 
 def cycle_places(net: PetriNet) -> frozenset:
-    """Places on a directed cycle, ignoring synchronizing transitions."""
+    """Places on a directed cycle, ignoring synchronizing transitions: the
+    members of non-trivial strongly connected components (Tarjan) and
+    places with a self-loop."""
     sync = net.synchronizing_ids()
     succ = {}
     for p in net.places:
         nxt = set()
         for t in net.post_transitions(p.id):
-            if t in sync:
-                continue
-            nxt |= net.post_places(t)
+            if t not in sync:
+                nxt |= net.post_places(t)
         succ[p.id] = nxt
+    index, low = {}, {}
+    stack, on_stack = [], set()
     on_cycle = set()
-    for start in succ:
-        # reachable-from-self search
-        frontier = list(succ[start])
-        seen = set(frontier)
-        found = start in seen
-        while frontier and not found:
-            q = frontier.pop()
-            if q == start:
-                found = True
-                break
-            for r in succ[q]:
-                if r == start:
-                    found = True
+    for root in succ:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-        if found or start in succ[start]:
-            on_cycle.add(start)
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1 or v in succ[v]:
+                        on_cycle.update(comp)
     return frozenset(on_cycle)
 
 
@@ -172,120 +219,221 @@ class PathCover:
 # structural token tracking
 
 
-def _structural_sets(net: PetriNet, marked: frozenset, fired: frozenset,
-                     sync: frozenset) -> list:
-    """Maximal sets of structurally firable fresh transitions: pre-places
-    marked, pairwise disjoint pre- and post-places."""
-    maps = net._maps()
-    pre_all, post_all = maps["pre_p"], maps["post_p"]
-    cands = [t.id for t in net.transitions
-             if t.id not in sync and t.id not in fired
-             and pre_all[t.id] <= marked]
-    cands.sort(key=natural_key)
-    if not cands:
-        return []
-    pre = {t: pre_all[t] for t in cands}
-    post = {t: post_all[t] for t in cands}
-    sets = set()
+class TrackerLimitExceeded(Exception):
+    """A backward walk outgrew its step bound; finishing it early would
+    have truncated the path it was building."""
 
-    def rec(chosen, used_pre, used_post, rest):
-        extended = False
-        for i, t in enumerate(rest):
-            if not (pre[t] & used_pre) and not (post[t] & used_post):
-                extended = True
-                rec(chosen + [t], used_pre | pre[t], used_post | post[t],
-                    rest[i + 1:])
-        if not extended and chosen:
-            cand = frozenset(chosen)
-            if all((pre[t] & used_pre) or (post[t] & used_post)
-                   for t in cands if t not in cand):
-                sets.add(cand)
 
-    rec([], frozenset(), frozenset(), cands)
-    return sorted(sets, key=lambda s: tuple(sorted(natural_key(t)
-                                                   for t in s)))
+class _Prod:
+    """One firing of one transition: its tick and, per pre-place in
+    natural order, the production that put the consumed token there
+    (None for an initial token). `cone` caches the interned id of the
+    backward cone, filled in only where a memo key needs it."""
+
+    __slots__ = ("t", "tick", "feeds", "cone")
+
+    def __init__(self, t: str, tick: int, feeds: tuple):
+        self.t = t
+        self.tick = tick
+        self.feeds = feeds
+        self.cone = None
 
 
 class _Tracker:
-    def __init__(self, net: PetriNet, cps: set):
+    def __init__(self, net: PetriNet):
         self.net = net
-        self.cps = cps
         self.cycles = cycle_places(net)
-        self.sync = net.synchronizing_ids()
+        maps = net._maps()
+        sync = maps["sync"]
+        self.pre, self.post = maps["pre_p"], maps["post_p"]
+        self.pre_sorted = {t: tuple(sorted(ps, key=natural_key))
+                           for t, ps in self.pre.items()}
+        self.post_tr = {p: tuple(t for t in ts if t not in sync)
+                        for p, ts in maps["post_t"].items()}
+        self.unsync = tuple(t.id for t in net.transitions
+                            if t.id not in sync)
+        self.sourceless = tuple(t for t in self.unsync if not self.pre[t])
+        self.live_cache = {}  # marking -> transitions it can still enable
+
+    def run(self, cps: set):
+        """One tracking pass; grows `cps` in place."""
+        self.cps = cps
         self.records = {}  # key -> discovery index
         self.record_list = []
-        self.markings = set()
-
-    def run(self):
+        self.cones = {}  # cone signature -> interned id
         m0 = self.net.initial_marking
-        self.markings.add(m0)
-        self._explore(m0, frozenset(), [], {})
+        self.markings = {m0}
+        fired = set()  # transitions fired on the current branch
+        seen = set()  # memo keys of the subtrees explored in this pass
+        sets = self._structural_sets(m0, fired)
+        # frame: [sets left (reversed), marking, producers, te, branching];
+        # the frame at stack depth d was reached after d rounds, so the
+        # round fired from it gets tick d
+        stack = [[sets[::-1], m0, {}, frozenset(), len(sets) > 1]]
+        while stack:
+            left, marked, producers, arrived_by, branching = stack[-1]
+            if not left:
+                stack.pop()
+                fired -= arrived_by
+                continue
+            te = left.pop()
+            tick = len(stack) - 1
+            consumed = frozenset().union(*[self.pre[t] for t in te])
+            new_marked = frozenset(
+                (marked - consumed)
+                | frozenset().union(*[self.post[t] for t in te]))
+            producers2 = {p: prod for p, prod in producers.items()
+                          if p not in consumed}
+            for t in sorted(te, key=natural_key):
+                prod = _Prod(t, tick, tuple((r, producers.get(r))
+                                            for r in self.pre_sorted[t]))
+                for p in self.post[t]:
+                    producers2[p] = prod
+            fired |= te
+            if branching:
+                key = (self._tokens(new_marked, producers2, tick + 1),
+                       frozenset(fired.intersection(self._live(new_marked))))
+                if key in seen:
+                    fired -= te
+                    continue
+                seen.add(key)
+            self.markings.add(new_marked)
+            self._mark_and_build(new_marked, te, producers2, tick + 1)
+            sets = self._structural_sets(new_marked, fired)
+            stack.append([sets[::-1], new_marked, producers2, te,
+                          len(sets) > 1])
         return self.record_list
 
-    # log: list of (tick, fired frozenset); producers: place -> (t, tick)
-    def _explore(self, marked, fired, log, producers):
-        for te in _structural_sets(self.net, marked, fired, self.sync):
-            new_marked = frozenset(
-                (marked - frozenset().union(*[self.net.pre_places(t)
-                                              for t in te]))
-                | frozenset().union(*[self.net.post_places(t) for t in te]))
-            tick = len(log)
-            log2 = log + [(tick, te)]
-            producers2 = dict(producers)
-            for t in sorted(te, key=natural_key):
-                for p in self.net.post_places(t):
-                    producers2[p] = (t, tick)
-            self.markings.add(new_marked)
-            self._mark_and_build(new_marked, te, log2, producers2)
-            self._explore(new_marked, fired | te, log2, producers2)
+    def _structural_sets(self, marked: frozenset, fired: set) -> list:
+        """Maximal sets of structurally firable fresh transitions: pre-places
+        marked, pairwise disjoint pre- and post-places."""
+        pre_all, post_all = self.pre, self.post
+        cands = {t for p in marked for t in self.post_tr[p]
+                 if t not in fired and pre_all[t] <= marked}
+        cands.update(t for t in self.sourceless if t not in fired)
+        if not cands:
+            return []
+        cands = sorted(cands, key=natural_key)
+        pre = {t: pre_all[t] for t in cands}
+        post = {t: post_all[t] for t in cands}
+        sets = set()
 
-    def _mark_and_build(self, marking, te, log, producers):
+        def rec(chosen, used_pre, used_post, rest):
+            extended = False
+            for i, t in enumerate(rest):
+                if not (pre[t] & used_pre) and not (post[t] & used_post):
+                    extended = True
+                    rec(chosen + [t], used_pre | pre[t], used_post | post[t],
+                        rest[i + 1:])
+            if not extended and chosen:
+                cand = frozenset(chosen)
+                if all((pre[t] & used_pre) or (post[t] & used_post)
+                       for t in cands if t not in cand):
+                    sets.add(cand)
+
+        rec([], frozenset(), frozenset(), cands)
+        return sorted(sets, key=lambda s: tuple(sorted(natural_key(t)
+                                                       for t in s)))
+
+    # memo key --------------------------------------------------------------
+
+    def _tokens(self, marked: frozenset, producers: dict, depth: int):
+        """Each marked place with its producer's tick relative to `depth`
+        and the interned id of its backward cone."""
+        toks = []
+        for p in marked:
+            prod = producers.get(p)
+            toks.append((p,) if prod is None
+                        else (p, depth - prod.tick, self._cone(prod)))
+        return frozenset(toks)
+
+    def _cone(self, prod: _Prod) -> int:
+        """Interned id of the cone a backward walk from `prod` covers: its
+        transition and, per pre-place off the cut-points, the feeding
+        production's tick offset and cone (or the initial token)."""
+        stack = [prod]
+        while stack:
+            top = stack[-1]
+            if top.cone is not None:
+                stack.pop()
+                continue
+            missing = [src for r, src in top.feeds
+                       if src is not None and src.cone is None
+                       and r not in self.cps]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            sig = (top.t,) + tuple(
+                (r,) if src is None else (r, top.tick - src.tick, src.cone)
+                for r, src in top.feeds if r not in self.cps)
+            top.cone = self.cones.setdefault(sig, len(self.cones))
+        return prod.cone
+
+    def _live(self, marked: frozenset) -> frozenset:
+        """Non-synchronizing transitions whose pre-places all lie in the
+        forward closure of `marked`: the only ones that can still become
+        enabled below this marking."""
+        live = self.live_cache.get(marked)
+        if live is None:
+            reach = set(marked)
+            todo = list(marked)
+            while todo:
+                for t in self.post_tr[todo.pop()]:
+                    for q in self.post[t]:
+                        if q not in reach:
+                            reach.add(q)
+                            todo.append(q)
+            live = frozenset(t for t in self.unsync if self.pre[t] <= reach)
+            self.live_cache[marked] = live
+        return live
+
+    # cut-points and paths --------------------------------------------------
+
+    def _mark_and_build(self, marking, te, producers, depth):
         hit = bool(marking & self.cps)
         hit = hit or bool(marking & self.cycles)
-        ticks = {producers[p][1] for p in marking if p in producers}
+        ticks = {producers[p].tick for p in marking if p in producers}
         if len(ticks) > 1 or (ticks and any(p not in producers
                                             for p in marking)):
             hit = True  # tokens produced at different ticks coexist
         for t in te:
-            if self.net.pre_places(t) & self.cycles and \
-                    not self.net.post_places(t) <= self.cycles:
+            if self.pre[t] & self.cycles and \
+                    not self.post[t] <= self.cycles:
                 hit = True  # firing left a loop
         if not hit:
             return
         self.cps |= marking
         for p in sorted(marking, key=natural_key):
             if p in producers:
-                self._build_backward(p, log, producers)
+                self._build_backward(producers[p], depth)
 
-    def _build_backward(self, target, log, producers):
-        """Walk producer cones back to the nearest cut-points."""
+    def _build_backward(self, target: _Prod, depth: int):
+        """Walk producer cones back to the nearest cut-points. Each
+        production is visited once (rounds and pre-places are sets), so
+        the walk takes at most one step per firing in the history; the
+        bound below only guards that invariant."""
         rounds = {}
         pre = set()
-        t0, k0 = producers[target]
-        frontier = [(target, k0)]
-        guard_steps = 0
+        frontier = [target]
+        visited = {target}
+        limit = depth * len(self.net.places) + 16
         while frontier:
-            q, upto = frontier.pop()
-            prod = self._find_production(q, upto, log)
-            if prod is None:
-                pre.add(q)
-                continue
-            t, k = prod
-            rounds.setdefault(k, set()).add(t)
-            for r in sorted(self.net.pre_places(t), key=natural_key):
-                if r in self.cps:
+            prod = frontier.pop()
+            rounds.setdefault(prod.tick, set()).add(prod.t)
+            for r, src in prod.feeds:
+                if r in self.cps or src is None:
                     pre.add(r)
-                else:
-                    frontier.append((r, k - 1))
-            guard_steps += 1
-            if guard_steps > len(log) * len(self.net.places) + 16:
-                break
-        if not rounds:
-            return
+                elif src not in visited:
+                    visited.add(src)
+                    frontier.append(src)
+            if len(visited) > limit:
+                raise TrackerLimitExceeded(
+                    f"backward walk from {target.t!r} at tick {target.tick} "
+                    f"exceeded {limit} steps")
         ordered = sorted(rounds)
         trans_seq = tuple(frozenset(rounds[k]) for k in ordered)
-        post = frozenset().union(*[self.net.post_places(t)
-                                   for t in trans_seq[-1]])
+        post = frozenset().union(*[self.post[t] for t in trans_seq[-1]])
         # tick stamps come from the first traversal that discovers the
         # route; later branches (e.g. zero-iteration loop exits) reuse it
         key = (trans_seq, frozenset(pre), post)
@@ -293,15 +441,6 @@ class _Tracker:
             self.records[key] = (len(self.record_list), ordered[0],
                                  ordered[-1])
             self.record_list.append(key + (ordered[0], ordered[-1]))
-
-    def _find_production(self, place, upto, log):
-        for tick, te in reversed(log):
-            if tick > upto:
-                continue
-            for t in sorted(te, key=natural_key):
-                if place in self.net.post_places(t):
-                    return (t, tick)
-        return None
 
 
 def _round_guard(net: PetriNet, env: dict, te: frozenset,
@@ -358,11 +497,10 @@ def path_constructor(net: PetriNet, prefix: str = "p",
     cut-point set stabilizes; paths come from the final pass only."""
     statics = static_cut_points(net)
     cps = set(statics)
-    tracker = None
+    tracker = _Tracker(net)
     for _ in range(len(net.places) + 2):
         before = set(cps)
-        tracker = _Tracker(net, cps)
-        tracker.run()
+        tracker.run(cps)
         if cps == before:
             break
     env = net.var_env()
@@ -464,18 +602,6 @@ def _parallelizable(paths, cover: PathCover) -> bool:
     if any(union_pre <= m for m in net_markings):
         return True
     return False
-
-
-def common_feeder(net: PetriNet, paths) -> frozenset:
-    """Transitions feeding at least one pre-place of every path (the
-    common spawn point of a parallel group)."""
-    commons = None
-    for p in paths:
-        feeds = set()
-        for q in p.pre_places:
-            feeds |= net.pre_transitions(q)
-        commons = feeds if commons is None else commons & feeds
-    return frozenset(commons or ())
 
 
 # ---------------------------------------------------------------------------

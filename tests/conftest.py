@@ -2,9 +2,10 @@ import pathlib
 
 import pytest
 
+from plccontain.benchmarks import BranchSeg, LoopSeg, Shape, Straight, render
 from plccontain.petri_net import PetriNet, Place, PnTransition
-from plccontain.sfc_core import (Binary, IntLit, TRUE, Unary, VarDecl,
-                                 VarRef, parse_sfc)
+from plccontain.sfc_core import (Binary, BoolLit, IntLit, TRUE, Unary,
+                                 VarDecl, VarRef, parse_sfc)
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -85,3 +86,32 @@ def build_counter_net(n: int = 2) -> PetriNet:
 @pytest.fixture(scope="session")
 def counter_net():
     return build_counter_net()
+
+
+def build_chain(kind: str, k: int):
+    """A chart of k sequential `branch`, `loop` or `straight` segments,
+    rendered by `benchmarks.render`. Covers have 2k+1, 4k+1 and 1 paths."""
+    x = VarRef("x")
+
+    def inc(n):
+        return [("x", Binary("+", x, IntLit(n)))]
+
+    decls = [VarDecl("start", "bool", BoolLit(True)),
+             VarDecl("cycle", "bool", BoolLit(False)),
+             VarDecl("x", "int", IntLit(0))]
+    segments = []
+    for i in range(k):
+        if kind == "branch":
+            segments.append(BranchSeg(Binary("<", x, IntLit(i)), inc(1),
+                                      inc(2), inc(3)))
+        elif kind == "loop":
+            decls.append(VarDecl(f"c{i}", "int", IntLit(0)))
+            segments.append(LoopSeg(f"c{i}", 2, inc(1), inc(2)))
+        else:
+            segments.append(Straight(inc(1)))
+    return render(Shape(decls, segments))
+
+
+@pytest.fixture(scope="session")
+def chain():
+    return build_chain

@@ -3,8 +3,11 @@ import pathlib
 
 import pytest
 
+from plccontain import cli
 from plccontain.cli import CheckConfig, main, parse_map_file
 from plccontain.containment import ConfigError
+from plccontain.path_engine import TrackerLimitExceeded
+from plccontain.sfc_core import pretty_print
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 V0 = str(CORPUS / "pick_and_place_v0.sfc")
@@ -43,6 +46,38 @@ def test_check_missing_file_exit_one(tmp_path):
     rc = main(["check", V0, str(tmp_path / "nope.sfc"),
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def _error_lines(err: str) -> list:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_check_missing_map_exit_one(tmp_path, capsys):
+    missing = tmp_path / "missing.map"
+    rc = main(["check", V0, V1, "--map", str(missing),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(missing) in lines[0]
+
+
+def test_paths_long_straight_chain(tmp_path, capsys, chain):
+    chart = tmp_path / "straight.sfc"
+    chart.write_text(pretty_print(chain("straight", 2000)))
+    assert main(["paths", str(chart)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc) == 1 and len(doc[0]["rounds"]) == 2002
+
+
+def test_tracker_limit_exit_one(monkeypatch, capsys):
+    def over_limit(*_args, **_kwargs):
+        raise TrackerLimitExceeded("backward walk exceeded 16 steps")
+
+    monkeypatch.setattr(cli, "path_constructor", over_limit)
+    assert main(["paths", V0]) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert lines == ["error: backward walk exceeded 16 steps"]
 
 
 def test_empty_program_is_an_error(tmp_path):
