@@ -129,7 +129,6 @@ def render(shape: Shape) -> SfcProgram:
     start = b.step()  # idle step, waits for the start input
     prev = b.step([("cycle", BoolLit(True))])
     b.trans(start, prev, VarRef("start"))
-    deferred = []  # (source step, guard, breach assigns) for safety arms
 
     for seg in shape.segments:
         if isinstance(seg, Straight):
@@ -234,10 +233,6 @@ def render(shape: Shape) -> SfcProgram:
     end = b.step()
     b.trans(prev, end)
     b.trans(end, "s0")  # synchronizing transition back to the idle step
-    for src, guard, assigns in deferred:
-        breach = b.step(assigns)
-        b.trans(src, breach, guard)
-        b.trans(breach, end)
     return SfcProgram(tuple(shape.vars), tuple(b.steps),
                       tuple(b.transitions), frozenset(["s0"]))
 
@@ -555,7 +550,6 @@ def gen_bench(cls: str, seed: int, certify: bool = True,
     if cls not in CLASSES:
         raise ValueError(f"unknown benchmark class {cls!r}")
     for attempt in range(retries):
-        rng = random.Random((seed, cls, attempt).__hash__() & 0x7FFFFFFF)
         rng = random.Random(seed * 1009 + attempt)
         shape, pool = _shape(cls, rng)
         v0 = render(shape)

@@ -1,23 +1,24 @@
 """Command-line driver.
 
-Subcommands:
+Subcommands and the flags each one reads:
 
-* ``check OLD NEW``   — containment check, writes text/JSON reports
+* ``check OLD NEW``   — containment check, writes text/JSON reports;
+  ``--map``, ``--format``, ``--out``, ``--bool-bound``
 * ``translate FILE``  — dump the translated Petri net as JSON
-* ``paths FILE``      — dump the path cover as JSON
-* ``mutate FILE``     — emit a seeded faulty upgrade
-* ``gen-bench``       — emit a certified (original, upgrade) pair
+* ``paths FILE``      — dump the path cover as JSON; ``--bool-bound``
+* ``mutate FILE``     — emit a seeded faulty upgrade; ``--kind``,
+  ``--seed``, ``--target``, ``--out``, ``--int-window``
+* ``gen-bench``       — emit a certified (original, upgrade) pair;
+  ``--cls``, ``--seed``, ``--out``, ``--int-window``
 
 Exit codes for ``check``: 0 when the verdict is EQUIVALENT or a
-containment, 2 for MAY_NOT_BE_EQUIVALENT, 1 on any error. Log level comes
-from the PLCCONTAIN_LOG environment variable.
+containment, 2 for MAY_NOT_BE_EQUIVALENT, 1 on any error. Every error
+ends in one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -26,15 +27,12 @@ from .benchmarks import CLASSES, GenerationRetryExceeded, gen_bench
 from .containment import ConfigError, containment_checker
 from .mutation import (MutationInapplicable, MutationSpec, SelectorNotFound,
                        mutate)
-from .oracle import DEFAULT_WINDOW
 from .path_engine import (TrackerLimitExceeded, cover_to_json,
                           path_constructor)
 from .petri_net import net_to_json, translate
 from .report import build_report, render_json, render_text
 from .sfc_core import SfcError, parse_sfc, pretty_print, validate_sfc
-from .symbolic import NormSettings
-
-log = logging.getLogger("plccontain")
+from .symbolic import NormalizationOverflow, NormSettings
 
 
 @dataclass
@@ -44,9 +42,7 @@ class CheckConfig:
     map_path: str = ""
     bool_bound: int = 16
     monomial_cap: int = 4096
-    fuel: int = 10_000
     out_format: str = "both"  # text | json | both
-    int_window: tuple = DEFAULT_WINDOW
     out_dir: str = "."
 
     def settings(self) -> NormSettings:
@@ -128,28 +124,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Containment checking for SFC upgrades via Petri nets")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--fuel", type=int, default=10_000)
-        p.add_argument("--bool-bound", type=int, default=16)
-        p.add_argument("--int-window", default="0..3",
-                       help="integer input window LO..HI")
-
     p = sub.add_parser("check", help="containment check OLD vs NEW")
     p.add_argument("old")
     p.add_argument("new")
     p.add_argument("--map", default="", help="correspondence map file")
     p.add_argument("--format", choices=("text", "json", "both"),
                    default="both")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--bool-bound", type=int, default=16,
+                   help="most boolean atoms in one canonical form")
 
     p = sub.add_parser("translate", help="dump the Petri net as JSON")
     p.add_argument("file")
-    common(p)
 
     p = sub.add_parser("paths", help="dump the path cover as JSON")
     p.add_argument("file")
-    common(p)
+    p.add_argument("--bool-bound", type=int, default=16,
+                   help="most boolean atoms in one canonical form")
 
     p = sub.add_parser("mutate", help="emit a faulty upgrade")
     p.add_argument("file")
@@ -157,31 +148,38 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="", help="restrict to a step id")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--int-window", default="0..3",
+                   help="integer input window LO..HI")
 
     p = sub.add_parser("gen-bench", help="emit a certified benchmark pair")
     p.add_argument("--cls", choices=CLASSES, required=True)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--int-window", default="0..3",
+                   help="integer input window LO..HI")
     return ap
 
 
 def _window(text: str) -> tuple:
-    lo, _, hi = text.partition("..")
-    return (int(lo), int(hi))
+    bad = ConfigError(f"--int-window {text!r}: expected LO..HI with "
+                      f"integers LO <= HI")
+    try:
+        lo, hi = (int(part) for part in text.split(".."))
+    except ValueError:
+        raise bad from None
+    if lo > hi:
+        raise bad
+    return lo, hi
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PLCCONTAIN_LOG", "WARNING").upper())
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
             cfg = CheckConfig(args.old, args.new, map_path=args.map,
-                              bool_bound=args.bool_bound, fuel=args.fuel,
-                              out_format=args.format,
-                              int_window=_window(args.int_window),
-                              out_dir=args.out)
+                              bool_bound=args.bool_bound,
+                              out_format=args.format, out_dir=args.out)
             return cmd_check(cfg)
         if args.command == "translate":
             prog = _load_program(args.file)
@@ -218,8 +216,8 @@ def main(argv=None) -> int:
             print(p1)
             return 0
     except (ConfigError, SfcError, SelectorNotFound, MutationInapplicable,
-            GenerationRetryExceeded, TrackerLimitExceeded) as exc:
-        log.error("%s", exc)
+            GenerationRetryExceeded, TrackerLimitExceeded,
+            NormalizationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

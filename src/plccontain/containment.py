@@ -62,12 +62,6 @@ class Correspondences:
         return frozenset(b for _, b in self.eta_v)
 
 
-def identity_correspondences(net: PetriNet) -> tuple:
-    f_in = {p: p for p in net.initial_marking}
-    f_out = {p: p for p in net.out_ports()}
-    return f_in, f_out
-
-
 def default_correspondences(n0: PetriNet, n1: PetriNet) -> tuple:
     """Pair initial places and out-ports in natural order; raises when the
     counts differ (the user must then supply a map)."""
@@ -346,8 +340,7 @@ def _phi_common(net: PetriNet, pid: str, corr: Correspondences,
 
 
 def _bind_posts(alpha: Path, beta: Path, corr: Correspondences,
-                n0: PetriNet, n1: PetriNet,
-                settings: NormSettings) -> None:
+                n0: PetriNet, n1: PetriNet) -> None:
     """Record the transition and place correspondences of a matched pair. A singleton end pairs with every opposite place
     (one place may correspond to several parallel ones); multi-place ends
     pair by write signature in deterministic order."""
@@ -406,7 +399,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
 
     def commit(alpha, beta, res):
         corr.eta_v.extend(res.new_pairs)
-        _bind_posts(alpha, beta, corr, n0, n1, settings)
+        _bind_posts(alpha, beta, corr, n0, n1)
         pairs.append((alpha, beta))
         consumed0.update(alpha.parts)
         consumed1.update(beta.parts)
@@ -528,7 +521,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
                 if res.clause != CLAUSE_PLACES:
                     for oid in beta.parts:
                         failures1.setdefault(oid, res.clause)
-                    _bind_posts(alpha, beta, corr, n0, n1, settings)
+                    _bind_posts(alpha, beta, corr, n0, n1)
                     pi1.remove(beta)
                 progress = True
                 break

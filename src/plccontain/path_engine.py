@@ -48,7 +48,7 @@ import json
 from dataclasses import dataclass
 
 from ._util import natural_key
-from .petri_net import PetriNet, WriteConflict
+from .petri_net import PetriNet, WriteConflict, _maximal_disjoint_sets
 from .symbolic import (DEFAULT_SETTINGS, EMPTY_TRANSFORM, NormSettings,
                        StateTransform, band, compose, guard_seq,
                        guard_seq_to_str, make_transform, normalize,
@@ -254,6 +254,11 @@ class _Tracker:
                             if t.id not in sync)
         self.sourceless = tuple(t for t in self.unsync if not self.pre[t])
         self.live_cache = {}  # marking -> transitions it can still enable
+        # pre- and post-places, tagged apart: two transitions conflict when
+        # they share a pre-place or a post-place
+        self.footprint = {t: frozenset([("i", p) for p in self.pre[t]]
+                                       + [("o", p) for p in self.post[t]])
+                          for t in self.pre}
 
     def run(self, cps: set):
         """One tracking pass; grows `cps` in place."""
@@ -307,31 +312,11 @@ class _Tracker:
     def _structural_sets(self, marked: frozenset, fired: set) -> list:
         """Maximal sets of structurally firable fresh transitions: pre-places
         marked, pairwise disjoint pre- and post-places."""
-        pre_all, post_all = self.pre, self.post
         cands = {t for p in marked for t in self.post_tr[p]
-                 if t not in fired and pre_all[t] <= marked}
+                 if t not in fired and self.pre[t] <= marked}
         cands.update(t for t in self.sourceless if t not in fired)
-        if not cands:
-            return []
-        cands = sorted(cands, key=natural_key)
-        pre = {t: pre_all[t] for t in cands}
-        post = {t: post_all[t] for t in cands}
-        sets = set()
-
-        def rec(chosen, used_pre, used_post, rest):
-            extended = False
-            for i, t in enumerate(rest):
-                if not (pre[t] & used_pre) and not (post[t] & used_post):
-                    extended = True
-                    rec(chosen + [t], used_pre | pre[t], used_post | post[t],
-                        rest[i + 1:])
-            if not extended and chosen:
-                cand = frozenset(chosen)
-                if all((pre[t] & used_pre) or (post[t] & used_post)
-                       for t in cands if t not in cand):
-                    sets.add(cand)
-
-        rec([], frozenset(), frozenset(), cands)
+        sets = _maximal_disjoint_sets(sorted(cands, key=natural_key),
+                                      self.footprint)
         return sorted(sets, key=lambda s: tuple(sorted(natural_key(t)
                                                        for t in s)))
 

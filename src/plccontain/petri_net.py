@@ -371,7 +371,9 @@ def compute_all_concur_trans(net: PetriNet, m: Marking) -> frozenset:
                                             for t in enabled})
 
 
-def _maximal_disjoint_sets(candidates, pre: dict) -> frozenset:
+def _maximal_disjoint_sets(candidates, footprint: dict) -> frozenset:
+    """All maximal subsets of `candidates` whose members have pairwise
+    disjoint footprints (`footprint` maps each candidate to a set)."""
     if not candidates:
         return frozenset()
     sets = set()
@@ -379,13 +381,13 @@ def _maximal_disjoint_sets(candidates, pre: dict) -> frozenset:
     def rec(chosen, used, rest):
         extended = False
         for i, t in enumerate(rest):
-            if not (pre[t] & used):
+            if not (footprint[t] & used):
                 extended = True
-                rec(chosen + [t], used | pre[t], rest[i + 1:])
+                rec(chosen + [t], used | footprint[t], rest[i + 1:])
         if not extended:
             cand = frozenset(chosen)
             # maximal against the full candidate list
-            if all(pre[t] & used for t in candidates if t not in cand):
+            if all(footprint[t] & used for t in candidates if t not in cand):
                 sets.add(cand)
 
     rec([], frozenset(), list(candidates))
@@ -413,9 +415,6 @@ class Trace:
     final: Marking
     stopped: str  # "sync" | "halt" | "quiescent" | "fuel"
     initial: Marking = None
-
-    def fired_sequence(self) -> list:
-        return [r.fired for r in self.rounds]
 
     def state_before_last(self) -> dict:
         """State when the final round's pre-marking held; for a sync stop

@@ -4,8 +4,9 @@ Integers normalize to multivariate polynomials with integer coefficients;
 truncating division is kept as an opaque atom (no rewriting of ``(x*10)/10``
 unless the divisor is a constant dividing every coefficient exactly).
 Booleans normalize to the set of satisfying rows over their canonicalized
-atoms (bool variables and integer comparisons) while the atom count stays
-within a configurable bound, and to a hashed NNF term beyond it.
+atoms (bool variables and integer comparisons). Combining two forms whose
+atoms together exceed a configurable bound raises NormalizationOverflow,
+as does a polynomial past the monomial cap.
 
 Equal canonical forms serialize to identical strings, which is what the
 containment checker compares.
@@ -324,20 +325,15 @@ def batom_to_str(atom) -> str:
 
 @dataclass(frozen=True)
 class BoolNorm:
-    """Rows form: satisfying assignments over a sorted atom tuple.
+    """Satisfying assignments over a sorted atom tuple.
 
-    ``form == "rows"``: ``rows`` holds bitmasks over ``atoms`` (bit i set
-    means atoms[i] is true). Zero atoms encode constants: rows == {0} is
-    True, rows == frozenset() is False.
-
-    ``form == "nnf"``: structurally hashed fallback past the atom bound;
-    sound but incomplete for equivalence.
+    ``rows`` holds bitmasks over ``atoms`` (bit i set means atoms[i] is
+    true). Zero atoms encode constants: rows == {0} is True,
+    rows == frozenset() is False.
     """
 
-    form: str
     atoms: tuple = ()
     rows: frozenset = frozenset()
-    node: tuple = ()
 
     @property
     def kind(self) -> str:
@@ -347,8 +343,8 @@ class BoolNorm:
         return bool_to_str(self)
 
 
-BTRUE = BoolNorm("rows", (), frozenset([0]))
-BFALSE = BoolNorm("rows", (), frozenset())
+BTRUE = BoolNorm((), frozenset([0]))
+BFALSE = BoolNorm((), frozenset())
 
 
 def _rows_canonical(atoms: tuple, rows: frozenset) -> BoolNorm:
@@ -374,7 +370,7 @@ def _rows_canonical(atoms: tuple, rows: frozenset) -> BoolNorm:
         return BTRUE
     if not rows:
         return BFALSE
-    return BoolNorm("rows", tuple(atoms), frozenset(rows))
+    return BoolNorm(tuple(atoms), frozenset(rows))
 
 
 def _drop_bit(mask: int, i: int) -> int:
@@ -388,7 +384,7 @@ def _from_atom(atom) -> BoolNorm:
         return BTRUE
     if atom is False:
         return BFALSE
-    return BoolNorm("rows", (atom,), frozenset([1]))
+    return BoolNorm((atom,), frozenset([1]))
 
 
 def _eval_rows(bn: BoolNorm, assign: dict) -> bool:
@@ -400,39 +396,22 @@ def _eval_rows(bn: BoolNorm, assign: dict) -> bool:
 
 
 def bool_atoms(bn: BoolNorm) -> frozenset:
-    if bn.form == "rows":
-        return frozenset(bn.atoms)
-
-    def walk(node):
-        if node[0] == "lit":
-            return frozenset([node[2]])
-        if node[0] in ("true", "false"):
-            return frozenset()
-        out = frozenset()
-        for ch in node[1]:
-            out |= walk(ch)
-        return out
-
-    return walk(bn.node)
+    return frozenset(bn.atoms)
 
 
 def _combine(op, a: BoolNorm, b: BoolNorm,
              settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
     union = sorted(bool_atoms(a) | bool_atoms(b), key=_batom_key)
     if len(union) > settings.bool_bound:
-        return _nnf_combine(op, a, b)
+        raise NormalizationOverflow(
+            f"{len(union)} boolean atoms exceed bound "
+            f"{settings.bool_bound} (--bool-bound raises it)")
     rows = set()
     for mask in range(1 << len(union)):
         assign = {atom: bool(mask & (1 << i)) for i, atom in enumerate(union)}
-        if op(_eval_rows_general(a, assign), _eval_rows_general(b, assign)):
+        if op(_eval_rows(a, assign), _eval_rows(b, assign)):
             rows.add(mask)
     return _rows_canonical(tuple(union), frozenset(rows))
-
-
-def _eval_rows_general(bn: BoolNorm, assign: dict) -> bool:
-    if bn.form == "rows":
-        return _eval_rows(bn, assign)
-    return _eval_nnf(bn.node, assign)
 
 
 def band(a: BoolNorm, b: BoolNorm,
@@ -458,78 +437,8 @@ def bor(a: BoolNorm, b: BoolNorm,
 
 
 def bnot(a: BoolNorm, settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
-    if a.form == "rows":
-        full = set(range(1 << len(a.atoms)))
-        return _rows_canonical(a.atoms, frozenset(full - set(a.rows)))
-    return _nnf_not(a)
-
-
-# -- NNF fallback ------------------------------------------------------------
-
-
-def _nnf_lit(atom, positive: bool) -> tuple:
-    return ("lit", _batom_key(atom), atom, positive)
-
-
-def _nnf_flatten(op: str, children) -> tuple:
-    flat = []
-    for ch in children:
-        if ch[0] == op:
-            flat.extend(ch[1])
-        else:
-            flat.append(ch)
-    uniq = sorted(set(flat))
-    return (op, tuple(uniq))
-
-
-def _to_nnf_node(bn: BoolNorm) -> tuple:
-    if bn.form == "nnf":
-        return bn.node
-    if bn == BTRUE:
-        return ("true",)
-    if bn == BFALSE:
-        return ("false",)
-    disjuncts = []
-    for mask in sorted(bn.rows):
-        lits = [_nnf_lit(a, bool(mask & (1 << i)))
-                for i, a in enumerate(bn.atoms)]
-        disjuncts.append(_nnf_flatten("and", lits) if len(lits) > 1
-                         else lits[0])
-    return _nnf_flatten("or", disjuncts) if len(disjuncts) > 1 \
-        else disjuncts[0]
-
-
-def _nnf_combine(op, a: BoolNorm, b: BoolNorm) -> BoolNorm:
-    name = "and" if op(True, False) is False and op(True, True) else "or"
-    node = _nnf_flatten(name, [_to_nnf_node(a), _to_nnf_node(b)])
-    return BoolNorm("nnf", node=node)
-
-
-def _nnf_not(a: BoolNorm) -> BoolNorm:
-    def neg(node):
-        if node[0] == "lit":
-            return ("lit", node[1], node[2], not node[3])
-        if node[0] == "true":
-            return ("false",)
-        if node[0] == "false":
-            return ("true",)
-        op = "or" if node[0] == "and" else "and"
-        return _nnf_flatten(op, [neg(ch) for ch in node[1]])
-
-    return BoolNorm("nnf", node=neg(_to_nnf_node(a)))
-
-
-def _eval_nnf(node, assign: dict) -> bool:
-    if node[0] == "lit":
-        v = assign[node[2]]
-        return v if node[3] else not v
-    if node[0] == "true":
-        return True
-    if node[0] == "false":
-        return False
-    if node[0] == "and":
-        return all(_eval_nnf(ch, assign) for ch in node[1])
-    return any(_eval_nnf(ch, assign) for ch in node[1])
+    full = set(range(1 << len(a.atoms)))
+    return _rows_canonical(a.atoms, frozenset(full - set(a.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +526,10 @@ def is_false(bn: BoolNorm) -> bool:
 
 
 def bool_vars(bn: BoolNorm) -> frozenset:
-    if bn.form == "rows":
-        out = frozenset()
-        for a in bn.atoms:
-            out |= batom_vars(a)
-        return out
-
-    def walk(node):
-        if node[0] == "lit":
-            return batom_vars(node[2])
-        if node[0] in ("true", "false"):
-            return frozenset()
-        out = frozenset()
-        for ch in node[1]:
-            out |= walk(ch)
-        return out
-
-    return walk(bn.node)
+    out = frozenset()
+    for a in bn.atoms:
+        out |= batom_vars(a)
+    return out
 
 
 def norm_vars(n) -> frozenset:
@@ -658,101 +554,35 @@ def bool_substitute(bn: BoolNorm, mapping: dict,
         made = mk_lez(poly) if isinstance(atom, Lez) else mk_eqz(poly)
         return _from_atom(made)
 
-    if bn.form == "rows":
-        acc = BFALSE
-        for mask in sorted(bn.rows):
-            term = BTRUE
-            for i, atom in enumerate(bn.atoms):
-                sa = sub_atom(atom)
-                term = band(term, sa if mask & (1 << i) else bnot(sa, settings),
-                            settings)
-                if term == BFALSE:
-                    break
-            acc = bor(acc, term, settings)
-        return acc
-
-    def walk(node) -> BoolNorm:
-        if node[0] == "lit":
-            sa = sub_atom(node[2])
-            return sa if node[3] else bnot(sa, settings)
-        if node[0] == "true":
-            return BTRUE
-        if node[0] == "false":
-            return BFALSE
-        acc = BTRUE if node[0] == "and" else BFALSE
-        comb = band if node[0] == "and" else bor
-        for ch in node[1]:
-            acc = comb(acc, walk(ch), settings)
-        return acc
-
-    return walk(bn.node)
+    acc = BFALSE
+    for mask in sorted(bn.rows):
+        term = BTRUE
+        for i, atom in enumerate(bn.atoms):
+            sa = sub_atom(atom)
+            term = band(term, sa if mask & (1 << i) else bnot(sa, settings),
+                        settings)
+            if term == BFALSE:
+                break
+        acc = bor(acc, term, settings)
+    return acc
 
 
 def bool_project(bn: BoolNorm, names: frozenset,
                  settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
-    """Existentially eliminate every atom whose variables meet ``names``.
-
-    On NNF terms this replaces the affected literals (both polarities) with
-    True, which coincides with projection on the guard shapes that occur in
-    practice.
-    """
-    if bn.form == "rows":
-        atoms = list(bn.atoms)
-        rows = set(bn.rows)
-        i = 0
-        while i < len(atoms):
-            if batom_vars(atoms[i]) & names:
-                rows = {_drop_bit(r, i) for r in rows}
-                del atoms[i]
-            else:
-                i += 1
-        return _rows_canonical(tuple(atoms), frozenset(rows))
-
-    def walk(node):
-        if node[0] == "lit":
-            return ("true",) if batom_vars(node[2]) & names else node
-        if node[0] in ("true", "false"):
-            return node
-        children = [walk(ch) for ch in node[1]]
-        if node[0] == "and":
-            children = [ch for ch in children if ch != ("true",)]
-            if any(ch == ("false",) for ch in children):
-                return ("false",)
-            if not children:
-                return ("true",)
-            return _nnf_flatten("and", children)
-        children = [ch for ch in children if ch != ("false",)]
-        if any(ch == ("true",) for ch in children):
-            return ("true",)
-        if not children:
-            return ("false",)
-        return _nnf_flatten("or", children)
-
-    node = walk(bn.node)
-    if node == ("true",):
-        return BTRUE
-    if node == ("false",):
-        return BFALSE
-    return BoolNorm("nnf", node=node)
+    """Existentially eliminate every atom whose variables meet ``names``."""
+    atoms = list(bn.atoms)
+    rows = set(bn.rows)
+    i = 0
+    while i < len(atoms):
+        if batom_vars(atoms[i]) & names:
+            rows = {_drop_bit(r, i) for r in rows}
+            del atoms[i]
+        else:
+            i += 1
+    return _rows_canonical(tuple(atoms), frozenset(rows))
 
 
 def bool_to_str(bn: BoolNorm) -> str:
-    if bn.form == "nnf":
-        def render(node, parent=""):
-            if node[0] == "lit":
-                s = batom_to_str(node[2])
-                if not node[3]:
-                    s = f"!{s}" if isinstance(node[2], BVar) else f"!({s})"
-                return s
-            if node[0] == "true":
-                return "true"
-            if node[0] == "false":
-                return "false"
-            sep = " & " if node[0] == "and" else " | "
-            body = sep.join(render(ch, node[0]) for ch in node[1])
-            return f"({body})" if parent and parent != node[0] else body
-
-        return render(bn.node)
     if bn == BTRUE:
         return "true"
     if bn == BFALSE:
@@ -804,26 +634,11 @@ def eval_bool(bn: BoolNorm, state: dict) -> bool:
         v = eval_int(atom.poly, state)
         return v <= 0 if isinstance(atom, Lez) else v == 0
 
-    if bn.form == "rows":
-        mask = 0
-        for i, a in enumerate(bn.atoms):
-            if atom_val(a):
-                mask |= 1 << i
-        return mask in bn.rows
-
-    def walk(node) -> bool:
-        if node[0] == "lit":
-            v = atom_val(node[2])
-            return v if node[3] else not v
-        if node[0] == "true":
-            return True
-        if node[0] == "false":
-            return False
-        if node[0] == "and":
-            return all(walk(ch) for ch in node[1])
-        return any(walk(ch) for ch in node[1])
-
-    return walk(bn.node)
+    mask = 0
+    for i, a in enumerate(bn.atoms):
+        if atom_val(a):
+            mask |= 1 << i
+    return mask in bn.rows
 
 
 def eval_norm(n, state: dict):
@@ -921,14 +736,6 @@ def make_transform(mapping: dict, consistent: bool = True) -> StateTransform:
     return StateTransform(tuple(items), consistent)
 
 
-def transform_vars(t: StateTransform) -> frozenset:
-    out = set()
-    for k, v in t.entries:
-        out.add(k)
-        out |= norm_vars(v)
-    return frozenset(out)
-
-
 def compose(t1: StateTransform, t2: StateTransform,
             settings: NormSettings = DEFAULT_SETTINGS) -> StateTransform:
     """Apply t1 first, then t2; result maps pre-state to final state."""
@@ -943,22 +750,6 @@ def compose(t1: StateTransform, t2: StateTransform,
                                     settings.monomial_cap)
         else:
             out[k] = bool_substitute(v, sub, settings)
-    return make_transform(out)
-
-
-def transform_substitute(t: StateTransform, mapping: dict,
-                         settings: NormSettings = DEFAULT_SETTINGS
-                         ) -> StateTransform:
-    """Rewrite every RHS over the pre-state of an earlier transform."""
-    if not t.consistent:
-        return t
-    out = {}
-    int_map = {n: e for n, e in mapping.items() if isinstance(e, IntNorm)}
-    for k, v in t.entries:
-        if isinstance(v, IntNorm):
-            out[k] = int_substitute(v, int_map, settings.monomial_cap)
-        else:
-            out[k] = bool_substitute(v, mapping, settings)
     return make_transform(out)
 
 
@@ -984,8 +775,7 @@ def rename_map(eta_v) -> dict:
     return {other: canon for canon, other in eta_v}
 
 
-def _rename_norm(v, ren: dict, env_kind: str,
-                 settings: NormSettings) -> object:
+def _rename_norm(v, ren: dict, settings: NormSettings) -> object:
     if not ren:
         return v
     if isinstance(v, IntNorm):
@@ -1004,7 +794,7 @@ def drop_uncommon_guard_seq(seq: GuardSeq, common: frozenset, eta_v,
     keep = frozenset(common) | frozenset(ren.values())
     out = []
     for entry in seq:
-        e = _rename_norm(entry, ren, "bool", settings)
+        e = _rename_norm(entry, ren, settings)
         foreign = bool_vars(e) - keep
         if foreign:
             e = bool_project(e, foreign, settings)
@@ -1026,7 +816,7 @@ def drop_uncommon_transform(t: StateTransform, common: frozenset, eta_v,
         k2 = ren.get(k, k)
         if k2 not in keep:
             continue
-        v2 = _rename_norm(v, ren, "", settings)
+        v2 = _rename_norm(v, ren, settings)
         if k2 in out and out[k2] != v2:
             consistent = False
         out[k2] = v2

@@ -50,7 +50,9 @@ def test_check_missing_file_exit_one(tmp_path):
 
 def _error_lines(err: str) -> list:
     assert "Traceback" not in err
-    return [line for line in err.splitlines() if line.startswith("error:")]
+    lines = err.splitlines()
+    assert all(line.startswith("error:") for line in lines)
+    return lines
 
 
 def test_check_missing_map_exit_one(tmp_path, capsys):
@@ -136,6 +138,68 @@ def test_check_config_defaults():
     cfg = CheckConfig("a.sfc", "b.sfc")
     assert cfg.bool_bound == 16
     assert cfg.monomial_cap == 4096
-    assert cfg.fuel == 10_000
-    assert cfg.int_window == (0, 3)
     assert cfg.settings().bool_bound == 16
+
+
+def _write_chart(path, decls, assign, guard="") -> str:
+    when = f" when {guard}" if guard else ""
+    path.write_text(f"""{decls}
+var z : int = 0;
+step s0 {{ }}
+step s1 {{ entry W {{ z := {assign}; }} }}
+trans T1 : s0 -> s1{when};
+trans T2 : s1 -> s0;
+init s0;
+""")
+    return str(path)
+
+
+def test_monomial_overflow_exit_one(tmp_path, capsys):
+    names = [f"{v}{i}" for v in "xy" for i in range(65)]
+    decls = "\n".join(f"var {n} : int = 0;" for n in names)
+    sums = [" + ".join(names[:65]), " + ".join(names[65:])]
+    chart = _write_chart(tmp_path / "c.sfc", decls,
+                         f"({sums[0]}) * ({sums[1]})")
+    assert main(["check", chart, chart, "--out", str(tmp_path)]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: 4097 monomials exceeds cap 4096"]
+
+
+def test_bool_bound_overflow_exit_one(tmp_path, capsys):
+    decls = "\n".join(f"var {n} : bool = false;" for n in "abc")
+    chart = _write_chart(tmp_path / "g.sfc", decls, "1", "a && b && c")
+    out = str(tmp_path / "r")
+    assert main(["check", chart, chart, "--out", out,
+                 "--bool-bound", "2"]) == 1
+    assert main(["paths", chart, "--bool-bound", "2"]) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert "3 boolean atoms exceed bound 2" in lines[0]
+    assert "--bool-bound" in lines[0]
+    assert main(["check", chart, chart, "--out", out]) == 0
+    assert "N0 ≡ N1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", ["3", "3..1", "", "a..3", "0..1..2"])
+@pytest.mark.parametrize("command", [["gen-bench", "--cls", "basic"],
+                                     ["mutate", V0, "--kind", "type1"]])
+def test_bad_int_window_exit_one(tmp_path, capsys, command, window):
+    rc = main(command + ["--int-window", window, "--out", str(tmp_path)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "--int-window" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", V0, "--out", "x"],
+    ["translate", V0, "--bool-bound", "1"],
+    ["check", V0, V1, "--fuel", "1"],
+    ["check", V0, V1, "--int-window", "0..3"],
+    ["paths", V0, "--out", "x"],
+])
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

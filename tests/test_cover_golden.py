@@ -1,5 +1,6 @@
-"""Path covers stay byte-identical to the recorded digests, and cover
-construction scales polynomially in sequential branches and loops."""
+"""Path covers and containment reports stay byte-identical to the
+recorded digests, and cover construction scales polynomially in
+sequential branches and loops."""
 
 import importlib.util
 import json
@@ -35,7 +36,16 @@ def test_golden_set_is_complete():
     generated = {f"{cls}/{seed}/{v}"
                  for cls, seeds in cover_golden.SEEDS.items()
                  for seed in seeds for v in ("v0", "v1")}
-    assert corpus | generated == set(GOLDEN)
+    charts = {name for name in GOLDEN if not name.startswith("report/")}
+    assert corpus | generated == charts
+
+
+@pytest.mark.parametrize("group", cover_golden.REPORT_GROUPS)
+def test_report_digests(group):
+    recorded = {name: digest for name, digest in GOLDEN.items()
+                if name.startswith(f"report/{group}/")}
+    assert recorded
+    assert cover_golden.report_doc(group) == recorded
 
 
 @pytest.mark.parametrize("kind,k,expect", [("branch", 20, 41),

@@ -2,11 +2,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from plccontain.petri_net import (ConflictingFire, EvalError, InvalidModel,
                                   Marking, NotEnabled, Place, PnTransition,
                                   PetriNet, Trace, UnsafeMarking,
-                                  WriteConflict, compute_all_concur_trans,
+                                  WriteConflict, _maximal_disjoint_sets,
+                                  compute_all_concur_trans,
                                   enabled_transitions, initial_marking,
                                   net_to_json, simulate, successor_marking,
                                   translate)
@@ -201,18 +204,34 @@ def test_guard_division_by_zero():
 # concurrent sets
 
 
-def _subset_oracle(net, m):
-    """Exhaustive enumeration of maximal enabled pre-disjoint subsets."""
-    enabled = sorted(enabled_transitions(net, m))
+def _brute_maximal(candidates, footprint):
+    """Exhaustive enumeration of maximal non-empty subsets whose members
+    have pairwise disjoint footprints."""
     ok = []
-    for r in range(1, len(enabled) + 1):
-        for combo in itertools.combinations(enabled, r):
-            pres = [net.pre_places(t) for t in combo]
-            union = frozenset().union(*pres)
-            if sum(len(p) for p in pres) == len(union):
+    for r in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, r):
+            fps = [footprint[t] for t in combo]
+            union = frozenset().union(*fps)
+            if sum(len(f) for f in fps) == len(union):
                 ok.append(frozenset(combo))
     maximal = {s for s in ok if not any(s < t for t in ok)}
     return frozenset(maximal)
+
+
+def _subset_oracle(net, m):
+    """Maximal enabled pre-disjoint subsets, by exhaustive enumeration."""
+    enabled = sorted(enabled_transitions(net, m))
+    return _brute_maximal(enabled, {t: net.pre_places(t) for t in enabled})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcdefg"),
+                       st.frozensets(st.integers(0, 4), max_size=3),
+                       max_size=7))
+def test_maximal_disjoint_sets_match_brute_force(footprint):
+    cands = sorted(footprint)
+    assert _maximal_disjoint_sets(cands, footprint) == \
+        _brute_maximal(cands, footprint)
 
 
 def test_concur_trans_empty():

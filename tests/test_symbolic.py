@@ -303,13 +303,11 @@ def test_serialization_shapes():
     assert sy.transform_to_str(t) == "{a := 10*a}"
 
 
-def test_nnf_fallback_beyond_bound():
-    tight = sy.NormSettings(bool_bound=1)
+def test_overflow_beyond_bool_bound():
     e = Binary("||", V("p"), Binary("&&", V("q"), V("r")))
-    n = sy.normalize(e, ENV, tight)
-    assert n.form == "nnf"
-    # structural equality still detects syntactically equal forms
-    assert sy.expr_equiv(n, sy.normalize(e, ENV, tight))
+    with pytest.raises(sy.NormalizationOverflow, match="3 boolean atoms "
+                       "exceed bound 2"):
+        sy.normalize(e, ENV, sy.NormSettings(bool_bound=2))
+    n = sy.normalize(e, ENV, sy.NormSettings(bool_bound=3))
     for s in _all_assignments(["p", "q", "r"]):
-        expect = s["p"] or (s["q"] and s["r"])
-        assert sy.eval_bool(n, s) == expect
+        assert sy.eval_bool(n, s) == (s["p"] or (s["q"] and s["r"]))
