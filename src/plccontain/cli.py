@@ -11,9 +11,10 @@ Subcommands and the flags each one reads:
 * ``gen-bench``       — emit a certified (original, upgrade) pair;
   ``--cls``, ``--seed``, ``--out``, ``--int-window``
 
-Exit codes for ``check``: 0 when the verdict is EQUIVALENT or a
-containment, 2 for MAY_NOT_BE_EQUIVALENT, 1 on any error. Every error
-ends in one ``error:`` line on stderr.
+Exit codes: 0 on success (for ``check``, a verdict of EQUIVALENT or a
+containment), 2 only for ``check``'s MAY_NOT_BE_EQUIVALENT verdict, 1 on
+any error, usage errors included. Every error ends in one ``error:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ class CheckConfig:
     new_path: str
     map_path: str = ""
     bool_bound: int = 16
-    monomial_cap: int = 4096
     out_format: str = "both"  # text | json | both
     out_dir: str = "."
 
     def settings(self) -> NormSettings:
-        return NormSettings(self.bool_bound, self.monomial_cap)
+        return NormSettings(self.bool_bound)
 
 
 def parse_map_file(text: str):
@@ -118,8 +118,16 @@ def cmd_check(cfg: CheckConfig) -> int:
     return 0 if verdict.code != "MAY_NOT_BE_EQUIVALENT" else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a ConfigError (one ``error:`` line, exit 1)
+    instead of argparse's usage text and exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="plccontain",
         description="Containment checking for SFC upgrades via Petri nets")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -174,8 +182,8 @@ def _window(text: str) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "check":
             cfg = CheckConfig(args.old, args.new, map_path=args.map,
                               bool_bound=args.bool_bound,

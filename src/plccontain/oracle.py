@@ -78,7 +78,9 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
     common = frozenset(v.name for v in n0.vars) & \
         frozenset(v.name for v in n1.vars)
     ins0 = input_vars(n0)
-    extra1 = tuple(n for n in input_vars(n1) if n not in set(ins0))
+    ins0_set = set(ins0)
+    extra1 = tuple(n for n in input_vars(n1) if n not in ins0_set)
+    names1 = {x.name for x in n1.vars}
     for v in _valuations(n0, ins0, window):
         out0 = run_outcome(n0, v, common, fuel)
         if isinstance(out0, InvalidModel):
@@ -86,11 +88,10 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
         if out0.stopped != "sync":
             continue  # no computation to contain
         want_ports = frozenset(f_out[p] for p in out0.out_ports)
+        base1 = {k: val for k, val in v.items() if k in names1}
         matched = False
         for w in _valuations(n1, extra1, window):
-            out1 = run_outcome(n1, {**{k: val for k, val in v.items()
-                                       if k in {x.name for x in n1.vars}},
-                                    **w}, common, fuel)
+            out1 = run_outcome(n1, {**base1, **w}, common, fuel)
             if isinstance(out1, InvalidModel):
                 continue
             if out1.stopped == "sync" and out1.out_ports == want_ports \

@@ -1,10 +1,12 @@
 """Petri net model, the SFC translator, and the token-tracking simulator.
 
 Places carry variable-update sequences; transitions carry guards only.
-Nets produced by ``translate`` are deterministic and 1-safe, which the
-simulator checks while it runs. The simulator doubles as the brute-force
-behavioral oracle used to certify generated benchmarks and to cross-check
-containment verdicts.
+Nets produced by ``translate`` are deterministic (no two enabled
+transitions share a pre-place) and 1-safe. The simulator fires the whole
+enabled set each round, and ``successor_marking`` rejects a shared
+pre-place, an unsafe marking or a write conflict. The simulator doubles
+as the brute-force behavioral oracle used to certify generated benchmarks
+and to cross-check containment verdicts.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class WriteConflict(Exception):
 
 
 class UnsafeMarking(Exception):
-    pass
-
-
-class UnsupportedFeature(Exception):
     pass
 
 
@@ -327,10 +325,10 @@ def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
     maps = net._maps()
     pre_p, post_p = maps["pre_p"], maps["post_p"]
     pm, self_loops = maps["place_map"], maps["self_loops"]
-    fired = frozenset(fired)
+    order = sorted(frozenset(fired), key=natural_key)
     marked, state0 = m.marked, m.state
     pre_seen = {}
-    for tid in sorted(fired, key=natural_key):
+    for tid in order:
         if not pre_p[tid] <= marked or not eval_expr(maps["trans_map"][tid].guard, state0):
             raise NotEnabled(f"transition {tid!r} is not enabled")
         for p in pre_p[tid]:
@@ -341,7 +339,7 @@ def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
 
     survivors = marked - frozenset(pre_seen)
     newly = {}
-    for tid in sorted(fired, key=natural_key):
+    for tid in order:
         for p in post_p[tid]:
             if p in newly:
                 raise UnsafeMarking(f"two tokens pushed into {p!r}")
@@ -365,7 +363,12 @@ def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
 def compute_all_concur_trans(net: PetriNet, m: Marking) -> frozenset:
     """All maximal sets of simultaneously firable transitions: enabled,
     pairwise pre-place-disjoint. Deterministic translated nets yield at
-    most one set."""
+    most one set.
+
+    The reference semantics: ``simulate`` fires the enabled set instead,
+    and a shared pre-place, which it rejects, is exactly when more than
+    one set exists. Acceptance criterion 7 checks determinism against it,
+    and ``test_petri_net`` also checks ``simulate``'s runs against it."""
     enabled = sorted(enabled_transitions(net, m), key=natural_key)
     return _maximal_disjoint_sets(enabled, {t: net.pre_places(t)
                                             for t in enabled})
@@ -405,8 +408,6 @@ DEFAULT_FUEL = 10_000
 class TraceRound:
     tick: int
     fired: frozenset
-    marked_after: frozenset
-    state_after: tuple  # sorted (name, value) pairs
 
 
 @dataclass
@@ -414,16 +415,13 @@ class Trace:
     rounds: list
     final: Marking
     stopped: str  # "sync" | "halt" | "quiescent" | "fuel"
-    initial: Marking = None
+    before_last: dict  # state the final round fired from
 
     def state_before_last(self) -> dict:
-        """State when the final round's pre-marking held; for a sync stop
-        this is the state at the out-port (the computation's end)."""
-        if len(self.rounds) >= 2:
-            return dict(self.rounds[-2].state_after)
-        if self.initial is not None:
-            return dict(self.initial.state)
-        return dict(self.final.state)
+        """State when the final round's pre-marking held (the final state
+        if no round fired); for a sync stop this is the state at the
+        out-port (the computation's end)."""
+        return dict(self.before_last)
 
 
 @dataclass
@@ -432,47 +430,45 @@ class InvalidModel:
     tick: int = 0
 
 
-def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None,
-             stop_at_sync: bool = True):
-    """Fire maximal concurrent sets from the initial marking, incrementing
-    the tick each round.
+def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
+    """Fire the enabled set from the initial marking, incrementing the tick
+    each round, until a synchronizing transition fires.
 
     Clean stops: fuel exhaustion, a synchronizing-transition firing, a
     marking of structural sinks ("halt"), or guard quiescence — some
     transition is structurally ready but every guard is false, the net
     waiting for inputs ("quiescent"). InvalidModel: structural starvation
-    of a live marking, nondeterminism, 1-safety violations, same-round
-    write conflicts.
+    of a live marking, nondeterminism (two enabled transitions sharing a
+    pre-place), 1-safety violations, same-round write conflicts.
     """
-    m0 = initial_marking(net, state)
-    m = m0
+    m = initial_marking(net, state)
+    before = m.state
     rounds = []
     sync_ids = net.synchronizing_ids()
     for _ in range(fuel):
-        sets = compute_all_concur_trans(net, m)
-        if not sets:
+        fired = enabled_transitions(net, m)
+        if not fired:
             if not m.marked:
-                return Trace(rounds, m, "halt", m0)
+                return Trace(rounds, m, "halt", before)
             structurally_ready = any(
                 net.pre_places(t.id) <= m.marked for t in net.transitions)
             if structurally_ready:
-                return Trace(rounds, m, "quiescent", m0)
+                return Trace(rounds, m, "quiescent", before)
             if all(not net.post_transitions(p) for p in m.marked):
-                return Trace(rounds, m, "halt", m0)
+                return Trace(rounds, m, "halt", before)
             return InvalidModel("structural starvation at a live marking",
                                 m.tick)
-        if len(sets) > 1:
-            return InvalidModel("nondeterministic marking", m.tick)
-        fired = next(iter(sets))
         try:
-            m = successor_marking(net, m, fired)
+            nxt = successor_marking(net, m, fired)
+        except ConflictingFire:
+            return InvalidModel("nondeterministic marking", m.tick)
         except (UnsafeMarking, WriteConflict) as exc:
             return InvalidModel(str(exc), m.tick)
-        rounds.append(TraceRound(m.tick - 1, fired, m.marked,
-                                 tuple(sorted(m.state.items()))))
-        if stop_at_sync and fired & sync_ids:
-            return Trace(rounds, m, "sync", m0)
-    return Trace(rounds, m, "fuel", m0)
+        rounds.append(TraceRound(m.tick, fired))
+        before, m = m.state, nxt
+        if fired & sync_ids:
+            return Trace(rounds, m, "sync", before)
+    return Trace(rounds, m, "fuel", before)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ unless the divisor is a constant dividing every coefficient exactly).
 Booleans normalize to the set of satisfying rows over their canonicalized
 atoms (bool variables and integer comparisons). Combining two forms whose
 atoms together exceed a configurable bound raises NormalizationOverflow,
-as does a polynomial past the monomial cap.
+as does a polynomial past the fixed monomial cap.
 
 Equal canonical forms serialize to identical strings, which is what the
 containment checker compares.
@@ -35,7 +35,6 @@ class NormalizationOverflow(Exception):
 @dataclass(frozen=True)
 class NormSettings:
     bool_bound: int = DEFAULT_BOOL_BOUND
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP
 
 
 DEFAULT_SETTINGS = NormSettings()
@@ -95,10 +94,12 @@ def _mono_key(mono) -> tuple:
     return tuple(( _atom_key(a), e) for a, e in mono)
 
 
-def _mk_poly(mapping: dict, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
+def _mk_poly(mapping: dict) -> IntNorm:
     items = [(m, c) for m, c in mapping.items() if c != 0]
-    if len(items) > cap:
-        raise NormalizationOverflow(f"{len(items)} monomials exceeds cap {cap}")
+    if len(items) > DEFAULT_MONOMIAL_CAP:
+        raise NormalizationOverflow(
+            f"{len(items)} monomials exceed the "
+            f"{DEFAULT_MONOMIAL_CAP}-monomial cap")
     # constant monomial () sorts after named monomials
     items.sort(key=lambda mc: (mc[0] == (), _mono_key(mc[0])))
     return IntNorm(tuple(items))
@@ -112,19 +113,19 @@ def int_var(name: str) -> IntNorm:
     return _mk_poly({((name, 1),): 1})
 
 
-def int_add(a: IntNorm, b: IntNorm, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
+def int_add(a: IntNorm, b: IntNorm) -> IntNorm:
     acc = dict(a.terms)
     for m, c in b.terms:
         acc[m] = acc.get(m, 0) + c
-    return _mk_poly(acc, cap)
+    return _mk_poly(acc)
 
 
 def int_neg(a: IntNorm) -> IntNorm:
     return IntNorm(tuple((m, -c) for m, c in a.terms))
 
 
-def int_sub(a: IntNorm, b: IntNorm, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
-    return int_add(a, int_neg(b), cap)
+def int_sub(a: IntNorm, b: IntNorm) -> IntNorm:
+    return int_add(a, int_neg(b))
 
 
 def _mono_mul(m1, m2) -> tuple:
@@ -136,19 +137,20 @@ def _mono_mul(m1, m2) -> tuple:
     return tuple(sorted(acc.items(), key=lambda ae: _atom_key(ae[0])))
 
 
-def int_mul(a: IntNorm, b: IntNorm, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
+def int_mul(a: IntNorm, b: IntNorm) -> IntNorm:
     acc = {}
     for m1, c1 in a.terms:
         for m2, c2 in b.terms:
             m = _mono_mul(m1, m2)
             acc[m] = acc.get(m, 0) + c1 * c2
-            if len(acc) > cap:
+            if len(acc) > DEFAULT_MONOMIAL_CAP:
                 raise NormalizationOverflow(
-                    f"{len(acc)} monomials exceeds cap {cap}")
-    return _mk_poly(acc, cap)
+                    f"product of {len(a.terms)} and {len(b.terms)} terms "
+                    f"exceeds the {DEFAULT_MONOMIAL_CAP}-monomial cap")
+    return _mk_poly(acc)
 
 
-def int_div(a: IntNorm, b: IntNorm, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
+def int_div(a: IntNorm, b: IntNorm) -> IntNorm:
     """Truncating division; opaque unless it folds exactly."""
     if b.is_const():
         d = b.const_value()
@@ -156,12 +158,12 @@ def int_div(a: IntNorm, b: IntNorm, cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
             if a.is_const():
                 return int_const(tdiv(a.const_value(), d))
             if d < 0:
-                return int_div(int_neg(a), int_const(-d), cap)
+                return int_div(int_neg(a), int_const(-d))
             if d == 1:
                 return a
             if all(c % d == 0 for _, c in a.terms):
                 return IntNorm(tuple((m, c // d) for m, c in a.terms))
-    return _mk_poly({((DivAtom(a, b), 1),): 1}, cap)
+    return _mk_poly({((DivAtom(a, b), 1),): 1})
 
 
 def int_vars(p: IntNorm) -> frozenset:
@@ -175,8 +177,7 @@ def int_vars(p: IntNorm) -> frozenset:
     return frozenset(out)
 
 
-def int_substitute(p: IntNorm, mapping: dict,
-                   cap: int = DEFAULT_MONOMIAL_CAP) -> IntNorm:
+def int_substitute(p: IntNorm, mapping: dict) -> IntNorm:
     """Replace variable atoms by polynomials; mapping: name -> IntNorm."""
     acc = int_const(0)
     for m, c in p.terms:
@@ -185,11 +186,11 @@ def int_substitute(p: IntNorm, mapping: dict,
             if isinstance(atom, str):
                 repl = mapping.get(atom, int_var(atom))
             else:
-                repl = int_div(int_substitute(atom.num, mapping, cap),
-                               int_substitute(atom.den, mapping, cap), cap)
+                repl = int_div(int_substitute(atom.num, mapping),
+                               int_substitute(atom.den, mapping))
             for _ in range(e):
-                term = int_mul(term, repl, cap)
-        acc = int_add(acc, term, cap)
+                term = int_mul(term, repl)
+        acc = int_add(acc, term)
     return acc
 
 
@@ -436,7 +437,7 @@ def bor(a: BoolNorm, b: BoolNorm,
     return _combine(lambda x, y: x or y, a, b, settings)
 
 
-def bnot(a: BoolNorm, settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
+def bnot(a: BoolNorm) -> BoolNorm:
     full = set(range(1 << len(a.atoms)))
     return _rows_canonical(a.atoms, frozenset(full - set(a.rows)))
 
@@ -454,7 +455,6 @@ def normalize(e: Expr, env: dict,
 
 
 def _norm_int(e: Expr, env: dict, st: NormSettings) -> IntNorm:
-    cap = st.monomial_cap
     if isinstance(e, IntLit):
         return int_const(e.value)
     if isinstance(e, VarRef):
@@ -465,13 +465,13 @@ def _norm_int(e: Expr, env: dict, st: NormSettings) -> IntNorm:
         a = _norm_int(e.left, env, st)
         b = _norm_int(e.right, env, st)
         if e.op == "+":
-            return int_add(a, b, cap)
+            return int_add(a, b)
         if e.op == "-":
-            return int_sub(a, b, cap)
+            return int_sub(a, b)
         if e.op == "*":
-            return int_mul(a, b, cap)
+            return int_mul(a, b)
         if e.op == "/":
-            return int_div(a, b, cap)
+            return int_div(a, b)
     raise KindMismatch(f"not an int expression: {e!r}")
 
 
@@ -481,7 +481,7 @@ def _norm_bool(e: Expr, env: dict, st: NormSettings) -> BoolNorm:
     if isinstance(e, VarRef):
         return _from_atom(BVar(e.name))
     if isinstance(e, Unary) and e.op == "!":
-        return bnot(_norm_bool(e.operand, env, st), st)
+        return bnot(_norm_bool(e.operand, env, st))
     if isinstance(e, Binary):
         if e.op in ("&&", "||"):
             a = _norm_bool(e.left, env, st)
@@ -492,8 +492,8 @@ def _norm_bool(e: Expr, env: dict, st: NormSettings) -> BoolNorm:
                 a = _norm_bool(e.left, env, st)
                 b = _norm_bool(e.right, env, st)
                 same = bor(band(a, b, st),
-                           band(bnot(a, st), bnot(b, st), st), st)
-                return same if e.op == "=" else bnot(same, st)
+                           band(bnot(a), bnot(b), st), st)
+                return same if e.op == "=" else bnot(same)
             a = _norm_int(e.left, env, st)
             b = _norm_int(e.right, env, st)
             one = int_const(1)
@@ -506,7 +506,7 @@ def _norm_bool(e: Expr, env: dict, st: NormSettings) -> BoolNorm:
             if e.op == ">=":
                 return _from_atom(mk_lez(int_sub(b, a)))
             eq = _from_atom(mk_eqz(int_sub(a, b)))
-            return eq if e.op == "=" else bnot(eq, st)
+            return eq if e.op == "=" else bnot(eq)
     raise KindMismatch(f"not a bool expression: {e!r}")
 
 
@@ -532,10 +532,6 @@ def bool_vars(bn: BoolNorm) -> frozenset:
     return out
 
 
-def norm_vars(n) -> frozenset:
-    return int_vars(n) if isinstance(n, IntNorm) else bool_vars(n)
-
-
 def bool_substitute(bn: BoolNorm, mapping: dict,
                     settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
     """mapping: name -> NormExpr (IntNorm for int vars, BoolNorm for bool)."""
@@ -550,7 +546,7 @@ def bool_substitute(bn: BoolNorm, mapping: dict,
             if not isinstance(repl, BoolNorm):
                 raise KindMismatch(f"{atom.name} substituted with an int")
             return repl
-        poly = int_substitute(atom.poly, int_map, settings.monomial_cap)
+        poly = int_substitute(atom.poly, int_map)
         made = mk_lez(poly) if isinstance(atom, Lez) else mk_eqz(poly)
         return _from_atom(made)
 
@@ -559,16 +555,14 @@ def bool_substitute(bn: BoolNorm, mapping: dict,
         term = BTRUE
         for i, atom in enumerate(bn.atoms):
             sa = sub_atom(atom)
-            term = band(term, sa if mask & (1 << i) else bnot(sa, settings),
-                        settings)
+            term = band(term, sa if mask & (1 << i) else bnot(sa), settings)
             if term == BFALSE:
                 break
         acc = bor(acc, term, settings)
     return acc
 
 
-def bool_project(bn: BoolNorm, names: frozenset,
-                 settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
+def bool_project(bn: BoolNorm, names: frozenset) -> BoolNorm:
     """Existentially eliminate every atom whose variables meet ``names``."""
     atoms = list(bn.atoms)
     rows = set(bn.rows)
@@ -746,8 +740,7 @@ def compose(t1: StateTransform, t2: StateTransform,
     for k, v in t2.entries:
         if isinstance(v, IntNorm):
             out[k] = int_substitute(v, {n: e for n, e in sub.items()
-                                        if isinstance(e, IntNorm)},
-                                    settings.monomial_cap)
+                                        if isinstance(e, IntNorm)})
         else:
             out[k] = bool_substitute(v, sub, settings)
     return make_transform(out)
@@ -779,8 +772,7 @@ def _rename_norm(v, ren: dict, settings: NormSettings) -> object:
     if not ren:
         return v
     if isinstance(v, IntNorm):
-        return int_substitute(v, {o: int_var(c) for o, c in ren.items()},
-                              settings.monomial_cap)
+        return int_substitute(v, {o: int_var(c) for o, c in ren.items()})
     return bool_substitute(v, {o: _from_atom(BVar(c)) for o, c in ren.items()},
                            settings)
 
@@ -797,7 +789,7 @@ def drop_uncommon_guard_seq(seq: GuardSeq, common: frozenset, eta_v,
         e = _rename_norm(entry, ren, settings)
         foreign = bool_vars(e) - keep
         if foreign:
-            e = bool_project(e, foreign, settings)
+            e = bool_project(e, foreign)
         out.append(e)
     return guard_seq(out)
 

@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from plccontain.benchmarks import CLASSES, gen_bench
+from plccontain.oracle import input_vars
 from plccontain.petri_net import (ConflictingFire, EvalError, InvalidModel,
                                   Marking, NotEnabled, Place, PnTransition,
                                   PetriNet, Trace, UnsafeMarking,
@@ -73,7 +76,7 @@ def test_translate_active_block_self_loop():
     # semantics: the loop body runs once per self-loop firing
     tr = simulate(net)
     assert isinstance(tr, Trace) and tr.stopped == "sync"
-    assert dict(tr.rounds[-2].state_after)["I"] == 3
+    assert tr.state_before_last()["I"] == 3
 
 
 def test_translate_fork(pick_place_v1, nets):
@@ -306,24 +309,98 @@ def _desk_nets(nets, counter_net):
     yield n1, [{"L1": True, "S": s, "Fixer": f, "a": 7, "b": 500}
                for s in (False, True) for f in range(4)]
     yield counter_net, [{"n": k} for k in range(4)]
+    for cls in CLASSES:
+        for seed in range(3):
+            for prog in gen_bench(cls, seed, certify=False):
+                net = translate(prog)
+                env, rng = net.var_env(), random.Random(f"{cls}/{seed}")
+                yield net, [{v: (rng.random() < 0.8 if env[v] == "bool"
+                                 else rng.randint(0, 3))
+                             for v in input_vars(net)} for _ in range(5)]
+
+
+def _reference_run(net, state, fuel=300):
+    """Step the reference semantics: every maximal firing set of each
+    round, fired through `successor_marking` (which raises if a round is
+    unsafe). Returns the fired sets, how the run ended ("sync", "fuel",
+    "idle" when no set exists, or "nondeterministic"), the state the last
+    round fired from and the tick at the end."""
+    m = initial_marking(net, state)
+    before, fired_seq = m.state, []
+    for _ in range(fuel):
+        sets = compute_all_concur_trans(net, m)
+        if not sets:
+            return fired_seq, "idle", before, m.tick
+        if len(sets) > 1:
+            return fired_seq, "nondeterministic", before, m.tick
+        fired = next(iter(sets))
+        m2 = successor_marking(net, m, fired)
+        assert m2.tick == m.tick + 1, "tick monotonicity"
+        fired_seq.append(fired)
+        before, m = m.state, m2
+        if fired & net.synchronizing_ids():
+            return fired_seq, "sync", before, m.tick
+    return fired_seq, "fuel", before, m.tick
+
+
+def _assert_simulate_agrees(net, state, fuel=300):
+    """`simulate` fires the enabled set; it must follow the reference."""
+    fired_seq, end, before, tick = _reference_run(net, state, fuel)
+    tr = simulate(net, fuel=fuel, state=state)
+    if end == "nondeterministic":
+        assert tr == InvalidModel("nondeterministic marking", tick)
+        return end
+    assert isinstance(tr, Trace)
+    assert [r.fired for r in tr.rounds] == fired_seq
+    assert [r.tick for r in tr.rounds] == list(range(len(fired_seq)))
+    assert tr.stopped in (("halt", "quiescent") if end == "idle" else (end,))
+    assert tr.state_before_last() == before
+    assert tr.final.tick == tick
+    return end
 
 
 def test_invariants_on_desk_nets(nets, counter_net):
-    """1-safety, determinism, tick monotonicity over an input grid."""
+    """1-safety, determinism, tick monotonicity over an input grid, and
+    `simulate` against the reference semantics from the same states."""
+    ends = set()
     for net, states in _desk_nets(nets, counter_net):
         for st in states:
-            m = initial_marking(net, st)
-            for _ in range(300):
-                sets = compute_all_concur_trans(net, m)
-                if not sets:
-                    break
-                assert len(sets) == 1, "determinism"
-                fired = next(iter(sets))
-                m2 = successor_marking(net, m, fired)  # raises if unsafe
-                assert m2.tick == m.tick + 1, "tick monotonicity"
-                m = m2
-                if fired & net.synchronizing_ids():
-                    break
+            end = _assert_simulate_agrees(net, st)
+            assert end != "nondeterministic", "determinism"
+            ends.add(end)
+    assert ends == {"sync", "idle"}
+
+
+LATE_CONFLICT = """
+var x : int = 0;
+var y : int = 0;
+step s0 { }
+step s1 { entry A { y := y + 1; } }
+step s2 { }
+step s3 { }
+step s4 { }
+trans T1 : s0 -> s1;
+trans T2 : s1 -> s2 when x > 0;
+trans T3 : s1 -> s3 when x > 1;
+trans T4 : s2 -> s4 when y > 0;
+trans T5 : s3 -> s4;
+trans T6 : s4 -> s0;
+init s0;
+"""
+
+
+def test_simulate_conflict_after_first_round():
+    # T2 and T3 share pre-place s1, enabled together only when x > 1
+    net = translate(parse_sfc(LATE_CONFLICT))
+    assert simulate(net, state={"x": 2}) == \
+        InvalidModel("nondeterministic marking", 1)
+    assert _assert_simulate_agrees(net, {"x": 2}) == "nondeterministic"
+    assert _assert_simulate_agrees(net, {"x": 1}) == "sync"
+    assert _assert_simulate_agrees(net, {"x": 0}) == "idle"
+    tr = simulate(net, state={"x": 1})
+    assert [sorted(r.fired) for r in tr.rounds] == \
+        [["T1"], ["T2"], ["T4"], ["T6"]]
+    assert tr.state_before_last()["y"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,30 @@ def test_kind_mismatch():
         sy.expr_equiv(norm(V("x")), norm(V("p")))
 
 
+def _sum(names):
+    e = V(names[0])
+    for n in names[1:]:
+        e = Binary("+", e, V(n))
+    return e
+
+
 def test_normalization_overflow():
-    st_ = sy.NormSettings(monomial_cap=4)
-    big = Binary("*", Binary("+", V("x"), Binary("+", V("y"), V("z"))),
-                 Binary("+", V("a"), Binary("+", V("b"), V("I"))))
-    with pytest.raises(sy.NormalizationOverflow):
-        sy.normalize(big, ENV, st_)
+    # 65 x 65 distinct products: 4,225 monomials, past the fixed cap
+    xs = [f"x{i}" for i in range(65)]
+    ys = [f"y{i}" for i in range(65)]
+    env = dict.fromkeys(xs + ys, "int")
+    big = Binary("*", _sum(xs), _sum(ys))
+    with pytest.raises(sy.NormalizationOverflow,
+                       match="^product of 65 and 65 terms exceeds the "
+                             "4096-monomial cap$"):
+        sy.normalize(big, env)
+    assert len(sy.normalize(Binary("*", _sum(xs[:64]), _sum(ys[:64])),
+                            env).terms) == 4096
+    half = [sy.IntNorm(tuple((((f"{v}{i}", 1),), 1) for i in range(2100)))
+            for v in "xy"]
+    with pytest.raises(sy.NormalizationOverflow,
+                       match="^4200 monomials exceed the 4096-monomial cap$"):
+        sy.int_add(*half)
 
 
 # ---------------------------------------------------------------------------
