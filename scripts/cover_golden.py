@@ -110,7 +110,7 @@ def report_digests(old, new, f_in, f_out) -> dict:
                                               f_in, f_out))
     return {"json": _sha(render_json(report)),
             "text": _sha(render_text(report)),
-            "verdict": report.verdict}
+            "verdict": report["verdict"]}
 
 
 def report_doc(group: str) -> dict:

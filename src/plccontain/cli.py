@@ -76,7 +76,7 @@ def parse_map_file(text: str):
 def _read_text(path: str) -> str:
     try:
         return FsPath(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -113,8 +113,8 @@ def cmd_check(cfg: CheckConfig) -> int:
     if cfg.out_format in ("json", "both"):
         (out / "report.json").write_text(render_json(report),
                                          encoding="utf-8")
-    print(report.verdict_line)
-    print(f"bisim degree: {report.bisim_degree}")
+    print(report["verdict_line"])
+    print(f"bisim degree: {report['bisim_degree']}")
     return 0 if verdict.code != "MAY_NOT_BE_EQUIVALENT" else 2
 
 

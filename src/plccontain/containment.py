@@ -4,10 +4,13 @@ extension, path merging, correspondence bookkeeping, verdicts.
 Two paths are equivalent when their source places correspond, their
 execution conditions and data transformations agree after uncommon
 variables are removed (with eta_v renaming), and they consume the same
-number of effective ticks. Comparison failures drive the repair moves:
-prefix-shaped condition mismatches extend the shorter path through its
-post-paths; place-coverage or transform mismatches against parallel
-siblings merge candidate paths that were spawned together.
+number of effective ticks. The matching loop compares each unmatched N0
+path with its candidates and tries four moves in this order: *match* an
+equivalent candidate; *merge* parallel candidates spawned together when
+places, transforms or ticks differ; *extend* the side whose conditions
+are a prefix of the other's through its post-paths; and, only once a
+whole pass moved nothing, *resolve* one non-equivalent pair into the
+unmatched sets.
 """
 
 from __future__ import annotations
@@ -114,32 +117,23 @@ class CompareResult:
 def _propose_eta_v(alpha: Path, beta: Path, corr: Correspondences,
                    settings: NormSettings) -> tuple:
     """Pair model-exclusive variables whose transform entries line up, the
-    first time they are encountered."""
+    first time they are encountered: the upgrade's names first, then the
+    original's."""
     pairs = list(corr.eta_v)
-    taken0 = set(corr.paired_v0())
-    taken1 = set(corr.paired_v1())
+    taken = (set(corr.paired_v0()), set(corr.paired_v1()))
+    names = (corr.v0_vars, corr.v1_vars)
+    paths = (alpha, beta)
     common = corr.common
-
-    def try_side(side_beta: bool):
-        if side_beta:
-            fresh = [v for v in sorted(beta.transform.targets())
-                     if v in corr.v1_vars - corr.v0_vars
-                     and v not in taken1]
-            host = alpha.transform
-        else:
-            fresh = [v for v in sorted(alpha.transform.targets())
-                     if v in corr.v0_vars - corr.v1_vars
-                     and v not in taken0]
-            host = beta.transform
+    for side in (1, 0):
+        other = 1 - side
+        fresh = [v for v in sorted(paths[side].transform.targets())
+                 if v in names[side] - names[other]
+                 and v not in taken[side]]
         for v in fresh:
-            for cand in sorted(host.targets()):
-                if side_beta and (cand not in corr.v0_vars
-                                  or cand in taken0):
+            for cand in sorted(paths[other].transform.targets()):
+                if cand not in names[other] or cand in taken[other]:
                     continue
-                if not side_beta and (cand not in corr.v1_vars
-                                      or cand in taken1):
-                    continue
-                pair = (cand, v) if side_beta else (v, cand)
+                pair = (cand, v) if side else (v, cand)
                 trial = pairs + [pair]
                 ra = drop_uncommon_transform(alpha.transform, common, trial,
                                              settings)
@@ -150,12 +144,9 @@ def _propose_eta_v(alpha: Path, beta: Path, corr: Correspondences,
                         ra.get(key) is not None and \
                         ra.get(key) == rb.get(key):
                     pairs.append(pair)
-                    taken0.add(pair[0])
-                    taken1.add(pair[1])
+                    taken[0].add(pair[0])
+                    taken[1].add(pair[1])
                     break
-
-    try_side(True)
-    try_side(False)
     return tuple(p for p in pairs if p not in corr.eta_v)
 
 
@@ -166,40 +157,31 @@ def _compare_with(alpha: Path, beta: Path, corr: Correspondences,
     eta = list(corr.eta_v) + list(new_pairs)
     # the canonical side of a pair is the N0 name: rename N1 reads/writes;
     # the N0 side only needs its own model-exclusive names dropped
-    eta_beta = eta
     eta_alpha = [(a, a) for a, _ in eta]
 
     seq_a = drop_uncommon_guard_seq(alpha.guard_seq, common, eta_alpha,
                                     settings)
-    seq_b = drop_uncommon_guard_seq(beta.guard_seq, common, eta_beta,
-                                    settings)
+    seq_b = drop_uncommon_guard_seq(beta.guard_seq, common, eta, settings)
     r_a = drop_uncommon_transform(alpha.transform, common, eta_alpha,
                                   settings)
-    r_b = drop_uncommon_transform(beta.transform, common, eta_beta, settings)
+    r_b = drop_uncommon_transform(beta.transform, common, eta, settings)
 
     res = CompareResult(False, new_pairs=new_pairs, r_alpha=r_a, r_beta=r_b,
                         seq_alpha=seq_a, seq_beta=seq_b)
-
     image = corr.place_image(alpha.pre_places)
-    if not image or beta.pre_places != image:
+    res.pre_ok = bool(image) and beta.pre_places == image
+    if not res.pre_ok or \
+            {corr.f_out.get(p) for p in alpha.post_places & n0.out_ports()} \
+            != set(beta.post_places & n1.out_ports()):
         res.clause = CLAUSE_PLACES
-        return res
-    res.pre_ok = True
-    outs0 = alpha.post_places & n0.out_ports()
-    outs1 = beta.post_places & n1.out_ports()
-    if {corr.f_out.get(p) for p in outs0} != set(outs1):
-        res.clause = CLAUSE_PLACES
-        return res
-    if not guard_seq_equiv(seq_a, seq_b):
+    elif not guard_seq_equiv(seq_a, seq_b):
         res.clause = CLAUSE_CONDITION
-        return res
-    if not transforms_equal(r_a, r_b):
+    elif not transforms_equal(r_a, r_b):
         res.clause = CLAUSE_TRANSFORM
-        return res
-    if effective_len(seq_a) != effective_len(seq_b):
+    elif effective_len(seq_a) != effective_len(seq_b):
         res.clause = CLAUSE_TICK
-        return res
-    res.ok = True
+    else:
+        res.ok = True
     return res
 
 
@@ -228,6 +210,10 @@ def path_equiv(alpha: Path, beta: Path, corr: Correspondences,
     return compare_paths(alpha, beta, corr, n0, n1, settings).ok
 
 
+def _by_id(path: Path):
+    return natural_key(path.id)
+
+
 def select_candidates(alpha: Path, pool, corr: Correspondences) -> list:
     """Paths whose pre-places fall inside the eta_p/f_in image of alpha's
     pre-places, in path-id order."""
@@ -235,8 +221,7 @@ def select_candidates(alpha: Path, pool, corr: Correspondences) -> list:
     if not image:
         return []
     return sorted((b for b in pool if b.pre_places and
-                   b.pre_places <= image),
-                  key=lambda p: natural_key(p.id))
+                   b.pre_places <= image), key=_by_id)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +233,7 @@ def prepare_for_extension(gamma: Path, pool, seen: set,
     """Concatenate gamma with each post-path that starts inside its
     post-places at the next tick; returns the fresh extended paths."""
     products = []
-    for nxt in sorted(pool, key=lambda p: natural_key(p.id)):
+    for nxt in sorted(pool, key=_by_id):
         if nxt.id == gamma.id:
             continue
         if not nxt.pre_places or not nxt.pre_places <= gamma.post_places:
@@ -267,12 +252,46 @@ def prepare_for_extension(gamma: Path, pool, seen: set,
     return products
 
 
+# the extensions a failed comparison may ask for, in the order they are
+# tried: (side, condition, consumes the grown path); side 0 is alpha,
+# side 1 is beta
+_EXTENSIONS = ((0, "shorter", True), (1, "shorter", True),
+               (0, "empty r", True), (1, "empty r", True),
+               (1, "shift", False), (0, "shift", False))
+
+
+def _extension_moves(alpha: Path, beta: Path, res: CompareResult) -> list:
+    """(side, consumes) of each extension the comparison asks for. Only a
+    side whose conditions are a prefix of the other's grows. A shorter
+    side, or one that transforms nothing, cannot match as is, so its grown
+    path is consumed; a transform mismatch, or a place mismatch past
+    corresponding sources, may just be a shifted chunk boundary, so that
+    extension leaves the grown path in its pool for fault attribution."""
+    paths = (alpha, beta)
+    seqs = (res.seq_alpha, res.seq_beta)
+    prefix = (guard_seq_subsumes(seqs[0], seqs[1]),
+              guard_seq_subsumes(seqs[1], seqs[0]))
+    shift = res.clause == CLAUSE_TRANSFORM or \
+        (res.clause == CLAUSE_PLACES and res.pre_ok)
+
+    def wanted(side, cond):
+        other = 1 - side
+        if cond == "shorter":
+            return effective_len(seqs[side]) < effective_len(seqs[other]) \
+                or paths[side].last_tick < paths[other].last_tick
+        if cond == "empty r":
+            return (res.r_alpha, res.r_beta)[side].is_empty()
+        return shift
+
+    return [(side, consumes) for side, cond, consumes in _EXTENSIONS
+            if prefix[side] and wanted(side, cond)]
+
+
 def prepare_for_merging(candidates, cover: PathCover,
-                        settings: NormSettings = DEFAULT_SETTINGS,
-                        accept=None):
-    """Search subsets (size ascending, id order) of parallel candidates for
-    a merge the caller accepts; None when no merge point exists."""
-    cands = sorted(candidates, key=lambda p: natural_key(p.id))
+                        settings: NormSettings = DEFAULT_SETTINGS):
+    """Yield the merges of parallel candidates: subsets by size ascending,
+    then in id order, whose pre-places are disjoint and that merge."""
+    cands = sorted(candidates, key=_by_id)
     for size in range(2, len(cands) + 1):
         for group in combinations(cands, size):
             pre_sets = [p.pre_places for p in group]
@@ -283,9 +302,7 @@ def prepare_for_merging(candidates, cover: PathCover,
                 merged = merge(list(group), cover, settings)
             except (NotMergeable, WriteConflict):
                 continue
-            if accept is None or accept(merged):
-                return merged
-    return None
+            yield merged
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +318,6 @@ VERDICT_MAY_NOT = "MAY_NOT_BE_EQUIVALENT"
 @dataclass
 class EquivLedger:
     pairs: list  # (alpha Path, beta Path) with alpha ~ beta
-    matched0: tuple  # original N0 path ids consumed by matches
-    matched1: tuple
     unmatched0: tuple  # (original id, failing clause)
     unmatched1: tuple
 
@@ -317,10 +332,6 @@ class Verdict:
     cover1: PathCover
     net0: PetriNet = None
     net1: PetriNet = None
-
-    @property
-    def contained_forward(self) -> bool:
-        return self.code in (VERDICT_EQUIVALENT, VERDICT_N0_IN_N1)
 
 
 def bisim_degree(ledger: EquivLedger) -> Fraction:
@@ -397,135 +408,86 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
     failures0, failures1 = {}, {}
     seen_ext = set()
 
-    def commit(alpha, beta, res):
+    def compare_all(alpha):
+        return [(beta, compare_paths(alpha, beta, corr, n0, n1, settings))
+                for beta in select_candidates(alpha, pi1, corr)]
+
+    def commit(alpha, beta, res, covered):
         corr.eta_v.extend(res.new_pairs)
         _bind_posts(alpha, beta, corr, n0, n1)
         pairs.append((alpha, beta))
         consumed0.update(alpha.parts)
         consumed1.update(beta.parts)
+        pi0.remove(alpha)
+        for b in covered:
+            pi1.remove(b)
+
+    def match(alpha, results) -> bool:
+        for beta, res in results:
+            if res.ok:
+                commit(alpha, beta, res, [beta])
+                return True
+        return False
+
+    def merge(alpha, results) -> bool:
+        if not any(r.clause in (CLAUSE_PLACES, CLAUSE_TRANSFORM, CLAUSE_TICK)
+                   for _, r in results):
+            return False
+        for merged in prepare_for_merging([b for b, _ in results], cover1,
+                                          settings):
+            res = compare_paths(alpha, merged, corr, n0, n1, settings)
+            if res.ok:
+                parts = set(merged.parts)
+                commit(alpha, merged, res,
+                       [b for b in pi1 if set(b.parts) <= parts])
+                return True
+        return False
+
+    def extend(alpha, results) -> bool:
+        for beta, res in results:
+            for side, consumes in _extension_moves(alpha, beta, res):
+                gamma, pool = ((alpha, pi0), (beta, pi1))[side]
+                products = prepare_for_extension(gamma, pool, seen_ext,
+                                                 settings)
+                if products:
+                    if consumes:
+                        pool.remove(gamma)
+                    pool.extend(products)
+                    return True
+        return False
+
+    def resolve() -> bool:
+        # the pair keeps its structural place correspondence, so that
+        # downstream paths remain comparable (fault locality)
+        for alpha in sorted(pi0, key=_by_id):
+            results = compare_all(alpha)
+            if not results:
+                continue
+            beta, res = next(
+                ((b, r) for b, r in results
+                 if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM,
+                                 CLAUSE_TICK)),
+                results[0])
+            for oid in alpha.parts:
+                failures0.setdefault(oid, res.clause)
+            pi0.remove(alpha)
+            if res.clause != CLAUSE_PLACES:
+                for oid in beta.parts:
+                    failures1.setdefault(oid, res.clause)
+                _bind_posts(alpha, beta, corr, n0, n1)
+                pi1.remove(beta)
+            return True
+        return False
 
     max_passes = (len(pi0) + len(pi1) + 4) ** 2
     for _ in range(max_passes):
         progress = False
-        for alpha in sorted(pi0, key=lambda p: natural_key(p.id)):
-            candidates = select_candidates(alpha, pi1, corr)
-            if not candidates:
-                continue
-            results = [(beta, compare_paths(alpha, beta, corr, n0, n1,
-                                            settings))
-                       for beta in candidates]
-            matched = next(((b, r) for b, r in results if r.ok), None)
-            if matched:
-                beta, res = matched
-                commit(alpha, beta, res)
-                pi0.remove(alpha)
-                pi1.remove(beta)
+        for alpha in sorted(pi0, key=_by_id):
+            results = compare_all(alpha)
+            if match(alpha, results) or merge(alpha, results) or \
+                    extend(alpha, results):
                 progress = True
-                continue
-
-            # merge parallel siblings when conditions line up but places
-            # or transforms do not
-            if any(r.clause in (CLAUSE_PLACES, CLAUSE_TRANSFORM, CLAUSE_TICK)
-                   for _, r in results):
-                holder = {}
-
-                def accept(candidate_merge):
-                    res = compare_paths(alpha, candidate_merge, corr, n0, n1,
-                                        settings)
-                    if res.ok:
-                        holder["res"] = res
-                    return res.ok
-
-                merged = prepare_for_merging(candidates, cover1, settings,
-                                             accept)
-                if merged is not None:
-                    commit(alpha, merged, holder["res"])
-                    pi0.remove(alpha)
-                    for b in list(pi1):
-                        if set(b.parts) <= set(merged.parts):
-                            pi1.remove(b)
-                    progress = True
-                    continue
-
-            # extension: grow the prefix-shaped side toward the out-ports.
-            # Strict prefixes consume the grown path (it cannot match as
-            # is); equal-length transform mismatches may just be a shifted
-            # chunk boundary, so those extensions are speculative and the
-            # original stays in the pool for fault attribution.
-            acted = False
-            for beta, res in results:
-                sa, sb = res.seq_alpha, res.seq_beta
-                prefix_ab = guard_seq_subsumes(sa, sb)
-                prefix_ba = guard_seq_subsumes(sb, sa)
-                moves = []
-                if prefix_ab and (effective_len(sa) < effective_len(sb)
-                                  or alpha.last_tick < beta.last_tick):
-                    moves.append(("alpha", True))
-                if prefix_ba and (effective_len(sb) < effective_len(sa)
-                                  or beta.last_tick < alpha.last_tick):
-                    moves.append(("beta", True))
-                if prefix_ab and res.r_alpha.is_empty():
-                    moves.append(("alpha", True))
-                if prefix_ba and res.r_beta.is_empty():
-                    moves.append(("beta", True))
-                boundary_shift = res.clause == CLAUSE_TRANSFORM or \
-                    (res.clause == CLAUSE_PLACES and res.pre_ok)
-                if boundary_shift:
-                    if prefix_ba:
-                        moves.append(("beta", False))
-                    if prefix_ab:
-                        moves.append(("alpha", False))
-                for side, destructive in moves:
-                    if side == "alpha":
-                        products = prepare_for_extension(alpha, pi0,
-                                                         seen_ext, settings)
-                        if products:
-                            if destructive:
-                                pi0.remove(alpha)
-                            pi0.extend(products)
-                            acted = True
-                    else:
-                        products = prepare_for_extension(beta, pi1,
-                                                         seen_ext, settings)
-                        if products:
-                            if destructive:
-                                pi1.remove(beta)
-                            pi1.extend(products)
-                            acted = True
-                    if acted:
-                        progress = True
-                        break
-                if acted:
-                    break
-            if acted:
-                continue
-        if not progress:
-            # resolution sweep: route one non-equivalent pair to the
-            # unmatched sets, keeping its structural place correspondence
-            # so that downstream paths remain comparable (fault locality)
-            for alpha in sorted(pi0, key=lambda p: natural_key(p.id)):
-                candidates = select_candidates(alpha, pi1, corr)
-                if not candidates:
-                    continue
-                results = [(b, compare_paths(alpha, b, corr, n0, n1,
-                                             settings))
-                           for b in candidates]
-                beta, res = next(
-                    ((b, r) for b, r in results
-                     if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM,
-                                     CLAUSE_TICK)),
-                    results[0])
-                for oid in alpha.parts:
-                    failures0.setdefault(oid, res.clause)
-                pi0.remove(alpha)
-                if res.clause != CLAUSE_PLACES:
-                    for oid in beta.parts:
-                        failures1.setdefault(oid, res.clause)
-                    _bind_posts(alpha, beta, corr, n0, n1)
-                    pi1.remove(beta)
-                progress = True
-                break
-        if not progress:
+        if not progress and not resolve():
             break
 
     unmatched0 = tuple(
@@ -534,11 +496,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
     unmatched1 = tuple(
         (p.id, failures1.get(p.id, CLAUSE_NO_CANDIDATE))
         for p in cover1.paths if p.id not in consumed1)
-    ledger = EquivLedger(
-        pairs,
-        tuple(sorted(consumed0, key=natural_key)),
-        tuple(sorted(consumed1, key=natural_key)),
-        unmatched0, unmatched1)
+    ledger = EquivLedger(pairs, unmatched0, unmatched1)
 
     if not unmatched0 and not unmatched1:
         code = VERDICT_EQUIVALENT

@@ -76,14 +76,12 @@ class PetriNet:
             return cache
         pre_p = {t.id: set() for t in self.transitions}
         post_p = {t.id: set() for t in self.transitions}
-        pre_t = {p.id: set() for p in self.places}
         post_t = {p.id: set() for p in self.places}
         for p, t in self.input_arcs:
             pre_p.setdefault(t, set()).add(p)
             post_t.setdefault(p, set()).add(t)
         for t, p in self.output_arcs:
             post_p.setdefault(t, set()).add(p)
-            pre_t.setdefault(p, set()).add(t)
         self_loops = {}
         for t in self.transitions:
             pre = frozenset(pre_p[t.id])
@@ -92,7 +90,6 @@ class PetriNet:
         cache = {
             "pre_p": {k: frozenset(v) for k, v in pre_p.items()},
             "post_p": {k: frozenset(v) for k, v in post_p.items()},
-            "pre_t": {k: frozenset(v) for k, v in pre_t.items()},
             "post_t": {k: frozenset(v) for k, v in post_t.items()},
             "place_map": {p.id: p for p in self.places},
             "trans_map": {t.id: t for t in self.transitions},
@@ -117,9 +114,6 @@ class PetriNet:
 
     def post_places(self, tid: str) -> frozenset:
         return self._maps()["post_p"].get(tid, frozenset())
-
-    def pre_transitions(self, pid: str) -> frozenset:
-        return self._maps()["pre_t"].get(pid, frozenset())
 
     def post_transitions(self, pid: str) -> frozenset:
         return self._maps()["post_t"].get(pid, frozenset())
@@ -153,9 +147,6 @@ class Marking:
     marked: frozenset
     state: dict
     tick: int = 0
-
-    def copy(self) -> "Marking":
-        return Marking(self.marked, dict(self.state), self.tick)
 
 
 def initial_state(net: PetriNet) -> dict:

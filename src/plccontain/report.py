@@ -3,14 +3,14 @@
 The text form leads with the verdict and then explains, per path, how the
 two models line up: matched pairs with their conditions and
 transformations, and unmatched paths together with the clause that failed
-and the SFC steps involved. The JSON form is schema-versioned with a fixed
-key order so repeated runs are byte-identical.
+and the SFC steps involved. The report is its JSON document: a dict that
+is schema-versioned and dumped with sorted keys, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from ._util import natural_key
 from .containment import Verdict, VERDICT_EQUIVALENT, VERDICT_MAY_NOT, \
@@ -26,23 +26,6 @@ _VERDICT_LINES = {
     VERDICT_N1_IN_N0: "VERDICT: N1 ⊑ N0 and N0 ⊄ N1",
     VERDICT_MAY_NOT: "VERDICT: N0 and N1 may not be equivalent",
 }
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    verdict: str
-    verdict_line: str
-    bisim_degree: str  # exact rational, e.g. "8/9"
-    bisim_degree_decimal: float
-    matched: tuple  # ({"n0": path dict, "n1": path dict}, ...)
-    unmatched_n0: tuple  # plain ids
-    unmatched_n1: tuple
-    unmatched_n0_detail: tuple  # ({"id", "clause", "path"}, ...)
-    unmatched_n1_detail: tuple
-    correspondences: dict
-    paths_n0: tuple
-    paths_n1: tuple
-    schema_version: int = SCHEMA_VERSION
 
 
 def _path_dict(p: Path, net=None) -> dict:
@@ -65,25 +48,15 @@ def _path_dict(p: Path, net=None) -> dict:
     }
 
 
-def build_report(verdict: Verdict) -> ContainmentReport:
+def build_report(verdict: Verdict) -> dict:
+    """The report document that ``render_json`` dumps."""
     led = verdict.ledger
     by0 = verdict.cover0.by_id()
     by1 = verdict.cover1.by_id()
-    matched = tuple({"n0": _path_dict(a, verdict.net0),
-                     "n1": _path_dict(b, verdict.net1)}
-                    for a, b in led.pairs)
-    un0 = tuple(sorted((pid for pid, _ in led.unmatched0),
-                       key=natural_key))
-    un1 = tuple(sorted((pid for pid, _ in led.unmatched1),
-                       key=natural_key))
+    un0 = sorted((pid for pid, _ in led.unmatched0), key=natural_key)
+    un1 = sorted((pid for pid, _ in led.unmatched1), key=natural_key)
     clause0 = dict(led.unmatched0)
     clause1 = dict(led.unmatched1)
-    det0 = tuple({"clause": clause0[pid], "id": pid,
-                  "path": _path_dict(by0[pid], verdict.net0)}
-                 for pid in un0)
-    det1 = tuple({"clause": clause1[pid], "id": pid,
-                  "path": _path_dict(by1[pid], verdict.net1)}
-                 for pid in un1)
     corr = verdict.correspondences
     corr_doc = {
         "eta_p": [list(x) for x in sorted(corr.eta_p)],
@@ -95,39 +68,46 @@ def build_report(verdict: Verdict) -> ContainmentReport:
                                                      key=natural_key)],
     }
     frac = verdict.bisim_degree
-    return ContainmentReport(
-        verdict=verdict.code,
-        verdict_line=_VERDICT_LINES[verdict.code],
-        bisim_degree=f"{frac.numerator}/{frac.denominator}",
-        bisim_degree_decimal=float(frac),
-        matched=matched,
-        unmatched_n0=un0,
-        unmatched_n1=un1,
-        unmatched_n0_detail=det0,
-        unmatched_n1_detail=det1,
-        correspondences=corr_doc,
-        paths_n0=tuple(_path_dict(p, verdict.net0)
-                       for p in verdict.cover0.paths),
-        paths_n1=tuple(_path_dict(p, verdict.net1)
-                       for p in verdict.cover1.paths),
-    )
+    return {
+        "bisim_degree": f"{frac.numerator}/{frac.denominator}",
+        "bisim_degree_decimal": float(frac),
+        "correspondences": corr_doc,
+        "matched": [{"n0": _path_dict(a, verdict.net0),
+                     "n1": _path_dict(b, verdict.net1)}
+                    for a, b in led.pairs],
+        "paths_n0": [_path_dict(p, verdict.net0)
+                     for p in verdict.cover0.paths],
+        "paths_n1": [_path_dict(p, verdict.net1)
+                     for p in verdict.cover1.paths],
+        "schema_version": SCHEMA_VERSION,
+        "unmatched_n0": un0,
+        "unmatched_n0_detail": [{"clause": clause0[pid], "id": pid,
+                                 "path": _path_dict(by0[pid], verdict.net0)}
+                                for pid in un0],
+        "unmatched_n1": un1,
+        "unmatched_n1_detail": [{"clause": clause1[pid], "id": pid,
+                                 "path": _path_dict(by1[pid], verdict.net1)}
+                                for pid in un1],
+        "verdict": verdict.code,
+        "verdict_line": _VERDICT_LINES[verdict.code],
+    }
 
 
 # ---------------------------------------------------------------------------
 # renderers
 
 
-def render_text(report: ContainmentReport) -> str:
-    out = [report.verdict_line]
-    out.append(f"bisim degree: {report.bisim_degree} "
+def render_text(report: dict) -> str:
+    out = [report["verdict_line"]]
+    out.append(f"bisim degree: {report['bisim_degree']} "
                f"(1-BisimDegree = "
-               f"{1.0 - report.bisim_degree_decimal:.1%})")
-    out.append(f"matched pairs: {len(report.matched)}; "
-               f"unmatched N0: {len(report.unmatched_n0)}; "
-               f"unmatched N1: {len(report.unmatched_n1)}")
+               f"{1.0 - report['bisim_degree_decimal']:.1%})")
+    out.append(f"matched pairs: {len(report['matched'])}; "
+               f"unmatched N0: {len(report['unmatched_n0'])}; "
+               f"unmatched N1: {len(report['unmatched_n1'])}")
     out.append("")
     out.append("== matched paths ==")
-    for pair in report.matched:
+    for pair in report["matched"]:
         a, b = pair["n0"], pair["n1"]
         out.append(f"  {a['id']} ~ {b['id']}")
         out.append(f"    R: {a['R']}")
@@ -135,8 +115,8 @@ def render_text(report: ContainmentReport) -> str:
         if a["R"] != b["R"] or a["r"] != b["r"]:
             out.append(f"    (N1 side) R: {b['R']}")
             out.append(f"    (N1 side) r: {b['r']}")
-    for label, details in (("N0", report.unmatched_n0_detail),
-                           ("N1", report.unmatched_n1_detail)):
+    for label, details in (("N0", report["unmatched_n0_detail"]),
+                           ("N1", report["unmatched_n1_detail"])):
         if not details:
             continue
         out.append("")
@@ -150,52 +130,19 @@ def render_text(report: ContainmentReport) -> str:
                                     for r in p["rounds"]))
             out.append(f"    R: {p['R']}")
             out.append(f"    r: {p['r']}")
-    if report.verdict == "EQUIVALENT":
+    if report["verdict"] == VERDICT_EQUIVALENT:
         out.append("")
         out.append("every path of each model has an equivalent partner")
     out.append("")
     out.append("== variable correspondences (eta_v) ==")
-    if report.correspondences["eta_v"]:
-        for v0, v1 in report.correspondences["eta_v"]:
+    if report["correspondences"]["eta_v"]:
+        for v0, v1 in report["correspondences"]["eta_v"]:
             out.append(f"  {v0} (N0) ~ {v1} (N1)")
     else:
         out.append("  none")
     return "\n".join(out) + "\n"
 
 
-def render_json(report: ContainmentReport) -> str:
-    doc = {
-        "bisim_degree": report.bisim_degree,
-        "bisim_degree_decimal": report.bisim_degree_decimal,
-        "correspondences": report.correspondences,
-        "matched": list(report.matched),
-        "paths_n0": list(report.paths_n0),
-        "paths_n1": list(report.paths_n1),
-        "schema_version": report.schema_version,
-        "unmatched_n0": list(report.unmatched_n0),
-        "unmatched_n0_detail": list(report.unmatched_n0_detail),
-        "unmatched_n1": list(report.unmatched_n1),
-        "unmatched_n1_detail": list(report.unmatched_n1_detail),
-        "verdict": report.verdict,
-        "verdict_line": report.verdict_line,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def parse_json(text: str) -> ContainmentReport:
-    doc = json.loads(text)
-    return ContainmentReport(
-        verdict=doc["verdict"],
-        verdict_line=doc["verdict_line"],
-        bisim_degree=doc["bisim_degree"],
-        bisim_degree_decimal=doc["bisim_degree_decimal"],
-        matched=tuple(doc["matched"]),
-        unmatched_n0=tuple(doc["unmatched_n0"]),
-        unmatched_n1=tuple(doc["unmatched_n1"]),
-        unmatched_n0_detail=tuple(doc["unmatched_n0_detail"]),
-        unmatched_n1_detail=tuple(doc["unmatched_n1_detail"]),
-        correspondences=doc["correspondences"],
-        paths_n0=tuple(doc["paths_n0"]),
-        paths_n1=tuple(doc["paths_n1"]),
-        schema_version=doc["schema_version"],
-    )
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"

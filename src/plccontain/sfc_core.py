@@ -210,16 +210,6 @@ class SfcProgram:
 QUALIFIER_ORDER = ("entry", "active", "exit")
 
 
-def step_updates(step: Step) -> tuple:
-    """Assignments of a step concatenated in entry, active, exit order."""
-    out = []
-    for q in QUALIFIER_ORDER:
-        for blk in step.blocks:
-            if blk.qualifier == q:
-                out.extend(blk.body)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # lexer
 

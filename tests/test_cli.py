@@ -64,6 +64,24 @@ def test_check_missing_map_exit_one(tmp_path, capsys):
     assert len(lines) == 1 and str(missing) in lines[0]
 
 
+def test_check_non_utf8_chart_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.sfc"
+    bad.write_bytes(b"var x : int = 0;\xff\n")
+    rc = main(["check", str(bad), str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(bad) in lines[0]
+
+
+def test_check_non_utf8_map_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.map"
+    bad.write_bytes(b"in s0 = s0 // \xff\n")
+    rc = main(["check", V0, V1, "--map", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(bad) in lines[0]
+
+
 def test_paths_long_straight_chain(tmp_path, capsys, chain):
     chart = tmp_path / "straight.sfc"
     chart.write_text(pretty_print(chain("straight", 2000)))

@@ -134,7 +134,7 @@ def test_prepare_for_extension_dead_end(covers):
 def test_prepare_for_merging_pair(nets, covers):
     _, c1 = covers
     by = c1.by_id()
-    merged = prepare_for_merging([by["b5"], by["b6"]], c1)
+    merged = next(prepare_for_merging([by["b5"], by["b6"]], c1), None)
     assert merged is not None
     assert merged.pre_places == frozenset(["s6", "s9"])
 
@@ -142,21 +142,7 @@ def test_prepare_for_merging_pair(nets, covers):
 def test_prepare_for_merging_disjoint_ancestry(covers):
     c0, _ = covers
     by = c0.by_id()
-    assert prepare_for_merging([by["a2"], by["a7"]], c0) is None
-
-
-def test_prepare_for_merging_respects_accept(nets, covers):
-    _, c1 = covers
-    by = c1.by_id()
-    calls = []
-
-    def accept(p):
-        calls.append(p.id)
-        return False
-
-    assert prepare_for_merging([by["b5"], by["b6"]], c1, accept=accept) \
-        is None
-    assert calls  # merge candidates were proposed and rejected
+    assert next(prepare_for_merging([by["a2"], by["a7"]], c0), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +196,31 @@ def test_verdict_emptiness_law(verdict, nets):
         (not v_eq.ledger.unmatched0 and not v_eq.ledger.unmatched1)
 
 
+RENAMED = """
+var {v} : int = 0;
+var x : int = 0;
+step s0 {{ }}
+step s1 {{ entry Step {{ {v} := {v} + 2; x := x + {v}; }} }}
+trans t1 : s0 -> s1;
+trans t2 : s1 -> s0;
+init s0;
+"""
+
+
+def test_eta_v_proposed_on_renamed_counter():
+    """The upgrade renames the counter I to J: the proposer pairs them in
+    the direction of the check."""
+    from plccontain.sfc_core import parse_sfc
+
+    n_i = translate(parse_sfc(RENAMED.format(v="I")))
+    n_j = translate(parse_sfc(RENAMED.format(v="J")))
+    for n0, n1, eta_v in ((n_i, n_j, [("I", "J")]),
+                          (n_j, n_i, [("J", "I")])):
+        v = containment_checker(n0, n1)
+        assert v.code == "EQUIVALENT"
+        assert v.correspondences.eta_v == eta_v
+
+
 def test_eta_v_injectivity(nets, pick_place_v0):
     from plccontain.benchmarks import gen_bench
 
@@ -242,7 +253,7 @@ def test_config_errors(nets):
 
 
 def test_bisim_degree_definition():
-    led = EquivLedger([("x", "y")] * 3, (), (), (("a", "c"),),
+    led = EquivLedger([("x", "y")] * 3, (("a", "c"),),
                       (("b", "c"), ("d", "c")))
     assert bisim_degree(led) == Fraction(3, 6)
-    assert bisim_degree(EquivLedger([], (), (), (), ())) == 1
+    assert bisim_degree(EquivLedger([], (), ())) == 1

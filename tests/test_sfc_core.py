@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from plccontain.petri_net import translate
 from plccontain.sfc_core import (Binary, BoolLit, IntLit, SfcSyntaxError,
                                  SfcTypeError, UndeclaredVariable, Unary,
                                  VarRef, expr_to_str, infer_type, negate,
-                                 parse_sfc, pretty_print, step_updates,
-                                 validate_sfc)
+                                 parse_sfc, pretty_print, validate_sfc)
 
 MINIMAL = "var b : bool = false; step s0 { entry A { b := true; } } init s0;"
 
@@ -95,7 +95,8 @@ def test_qualifier_order_preserved():
     blocks = p.steps[0].blocks
     assert [b.qualifier for b in blocks] == ["exit", "entry", "active"]
     # execution order follows entry -> active -> exit regardless
-    assert [rhs.value for _, rhs in step_updates(p.steps[0])] == [1, 2, 3]
+    updates = translate(p).place_map()["s0"].updates
+    assert [rhs.value for _, rhs in updates] == [1, 2, 3]
     assert parse_sfc(pretty_print(p)) == p
 
 
