@@ -30,7 +30,7 @@ from .mutation import (MutationInapplicable, MutationSpec, SelectorNotFound,
                        mutate)
 from .path_engine import (TrackerLimitExceeded, cover_to_json,
                           path_constructor)
-from .petri_net import net_to_json, translate
+from .petri_net import EvalError, net_to_json, translate
 from .report import build_report, render_json, render_text
 from .sfc_core import SfcError, parse_sfc, pretty_print, validate_sfc
 from .symbolic import NormalizationOverflow, NormSettings
@@ -80,6 +80,19 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _write_files(out_dir: str, files: dict) -> list:
+    """Write ``{name: text}`` into ``out_dir``, creating it; returns the
+    paths written."""
+    out = FsPath(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: {exc}") from exc
+    return [out / name for name in files]
+
+
 def _load_program(path: str):
     text = _read_text(path)
     try:
@@ -105,14 +118,12 @@ def cmd_check(cfg: CheckConfig) -> int:
                                   settings=cfg.settings(),
                                   eta_v_hints=hints)
     report = build_report(verdict)
-    out = FsPath(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    files = {}
     if cfg.out_format in ("text", "both"):
-        (out / "report.txt").write_text(render_text(report),
-                                        encoding="utf-8")
+        files["report.txt"] = render_text(report)
     if cfg.out_format in ("json", "both"):
-        (out / "report.json").write_text(render_json(report),
-                                         encoding="utf-8")
+        files["report.json"] = render_json(report)
+    _write_files(cfg.out_dir, files)
     print(report["verdict_line"])
     print(f"bisim degree: {report['bisim_degree']}")
     return 0 if verdict.code != "MAY_NOT_BE_EQUIVALENT" else 2
@@ -204,28 +215,20 @@ def main(argv=None) -> int:
             prog = _load_program(args.file)
             spec = MutationSpec(args.kind, args.seed, args.target)
             mutant = mutate(prog, spec, window=_window(args.int_window))
-            out = FsPath(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            stem = FsPath(args.file).stem
-            target = out / f"{stem}_{args.kind}_s{args.seed}.sfc"
-            target.write_text(pretty_print(mutant), encoding="utf-8")
-            print(target)
+            name = f"{FsPath(args.file).stem}_{args.kind}_s{args.seed}.sfc"
+            print(*_write_files(args.out, {name: pretty_print(mutant)}))
             return 0
         if args.command == "gen-bench":
             v0, v1 = gen_bench(args.cls, args.seed,
                                window=_window(args.int_window))
-            out = FsPath(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            p0 = out / f"{args.cls}_s{args.seed}_v0.sfc"
-            p1 = out / f"{args.cls}_s{args.seed}_v1.sfc"
-            p0.write_text(pretty_print(v0), encoding="utf-8")
-            p1.write_text(pretty_print(v1), encoding="utf-8")
-            print(p0)
-            print(p1)
+            stem = f"{args.cls}_s{args.seed}"
+            files = {f"{stem}_v0.sfc": pretty_print(v0),
+                     f"{stem}_v1.sfc": pretty_print(v1)}
+            print(*_write_files(args.out, files), sep="\n")
             return 0
     except (ConfigError, SfcError, SelectorNotFound, MutationInapplicable,
             GenerationRetryExceeded, TrackerLimitExceeded,
-            NormalizationOverflow) as exc:
+            NormalizationOverflow, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

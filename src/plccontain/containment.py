@@ -456,39 +456,40 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
                     return True
         return False
 
-    def resolve() -> bool:
+    def resolve(alpha, results) -> None:
         # the pair keeps its structural place correspondence, so that
         # downstream paths remain comparable (fault locality)
-        for alpha in sorted(pi0, key=_by_id):
-            results = compare_all(alpha)
-            if not results:
-                continue
-            beta, res = next(
-                ((b, r) for b, r in results
-                 if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM,
-                                 CLAUSE_TICK)),
-                results[0])
-            for oid in alpha.parts:
-                failures0.setdefault(oid, res.clause)
-            pi0.remove(alpha)
-            if res.clause != CLAUSE_PLACES:
-                for oid in beta.parts:
-                    failures1.setdefault(oid, res.clause)
-                _bind_posts(alpha, beta, corr, n0, n1)
-                pi1.remove(beta)
-            return True
-        return False
+        beta, res = next(
+            ((b, r) for b, r in results
+             if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM,
+                             CLAUSE_TICK)),
+            results[0])
+        for oid in alpha.parts:
+            failures0.setdefault(oid, res.clause)
+        pi0.remove(alpha)
+        if res.clause != CLAUSE_PLACES:
+            for oid in beta.parts:
+                failures1.setdefault(oid, res.clause)
+            _bind_posts(alpha, beta, corr, n0, n1)
+            pi1.remove(beta)
 
     max_passes = (len(pi0) + len(pi1) + 4) ** 2
     for _ in range(max_passes):
         progress = False
+        stuck = None  # the first alpha with candidates, and their results
         for alpha in sorted(pi0, key=_by_id):
             results = compare_all(alpha)
             if match(alpha, results) or merge(alpha, results) or \
                     extend(alpha, results):
                 progress = True
-        if not progress and not resolve():
+            elif results and stuck is None:
+                stuck = (alpha, results)
+        if progress:
+            continue
+        if stuck is None:
             break
+        # a pass that moved nothing changed no state, so its results stand
+        resolve(*stuck)
 
     unmatched0 = tuple(
         (p.id, failures0.get(p.id, CLAUSE_NO_CANDIDATE))

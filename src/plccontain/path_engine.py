@@ -72,10 +72,6 @@ class CutPoints:
     static_pts: frozenset
     execution_pts: frozenset
 
-    @property
-    def all(self) -> frozenset:
-        return self.static_pts | self.execution_pts
-
 
 def _successor_places(net: PetriNet, pid: str):
     """(transition, place) successors of a place, deterministically ordered."""
@@ -194,9 +190,6 @@ class Path:
     last_tick: int
     parts: tuple = ()  # original cover-path ids composing this path
 
-    def rounds(self) -> int:
-        return len(self.trans_seq)
-
     def describe(self) -> str:
         seq = " . ".join("{" + ",".join(sorted(s, key=natural_key)) + "}"
                          for s in self.trans_seq)
@@ -209,7 +202,6 @@ class PathCover:
     paths: tuple
     cut_points: CutPoints
     markings: frozenset  # markings seen while tracking (for parallelism)
-    source: str = ""
 
     def by_id(self) -> dict:
         return {p.id: p for p in self.paths}
@@ -495,7 +487,7 @@ def path_constructor(net: PetriNet, prefix: str = "p",
                                   settings))
     return PathCover(tuple(paths),
                      CutPoints(statics, frozenset(cps) - statics),
-                     frozenset(tracker.markings), source=prefix)
+                     frozenset(tracker.markings))
 
 
 # ---------------------------------------------------------------------------

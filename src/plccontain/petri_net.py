@@ -97,6 +97,8 @@ class PetriNet:
             "sync": frozenset(t.id for t in self.transitions
                               if t.is_synchronizing),
         }
+        cache["out_ports"] = frozenset().union(
+            *(cache["pre_p"][t] for t in cache["sync"]))
         object.__setattr__(self, "_cached_maps", cache)
         return cache
 
@@ -135,11 +137,7 @@ class PetriNet:
 
     def out_ports(self) -> frozenset:
         """Places feeding a synchronizing transition."""
-        out = set()
-        for t in self.transitions:
-            if t.is_synchronizing:
-                out |= self.pre_places(t.id)
-        return frozenset(out)
+        return self._maps()["out_ports"]
 
 
 @dataclass

@@ -12,6 +12,19 @@ Text format (one program per file, ``//`` comments, UTF-8):
     trans Tr1 : s0 -> s1 when L1;
     trans TrF : {s4} -> {s6, s9} when Fixer > 0;
     init s0;
+
+Expressions, loosest binding first; ``and``/``or``/``not`` spell
+``&&``/``||``/``!``:
+
+    ||                       left-associative
+    &&                       left-associative
+    !                        prefix over a comparison-level operand, after
+                             which only ``&&``/``||`` may follow
+    < <= = != >= >           comparisons; they do not chain
+    + -                      left-associative
+    * /                      left-associative
+    -                        prefix (unary minus)
+    atoms                    integer, true, false, variable, ( expression )
 """
 
 from __future__ import annotations
@@ -220,6 +233,7 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9']*)
   | (?P<op>:=|->|<=|>=|!=|<>|&&|\|\||==|[{}():;,=<>!+\-*/]|¬|∧|∨|≤|≥|≠)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -240,32 +254,24 @@ _OP_CANON = {
 class _Tok:
     kind: str  # num | name | op | eof
     text: str
-    line: int
-    col: int
+    pos: int  # source offset; line and column are derived only for errors
+
+
+def _line_col(text: str, pos: int) -> tuple:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _lex(text: str):
     toks = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SfcSyntaxError(line, col, "a token", text[pos])
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            canon = _OP_CANON.get(raw, raw) if kind == "op" else raw
-            toks.append(_Tok(kind, canon, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+        if kind == "bad":
+            raise SfcSyntaxError(*_line_col(text, m.start()), "a token",
+                                 m.group())
+        if kind != "ws" and kind != "comment":
+            raw = m.group()
+            toks.append(_Tok(kind, _OP_CANON.get(raw, raw), m.start()))
+    toks.append(_Tok("eof", "", len(text)))
     return toks
 
 
@@ -275,11 +281,24 @@ def _lex(text: str):
 _KEYWORDS = {"var", "step", "trans", "init", "when", "int", "bool", "true",
              "false", "entry", "active", "exit", "not", "and", "or"}
 
+# binding strength of every operator, read by both the parser and the
+# printer; "u-" is unary minus
+_PRECEDENCE = {"||": 1, "&&": 2, "!": 3, "<": 4, "<=": 4, "=": 4, "!=": 4,
+               ">=": 4, ">": 4, "+": 5, "-": 5, "*": 6, "/": 6, "u-": 7}
+_SPELLING = {"and": "&&", "or": "||", "not": "!"}
+_PREFIX = {"!": "!", "-": "u-"}  # prefix operator -> its precedence key
+_BINARY_OPS = _ARITH_OPS | _CMP_OPS | _BOOL_OPS
+
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _lex(text)
         self.i = 0
+
+    def at(self, t: _Tok) -> tuple:
+        """Line and column of a token."""
+        return _line_col(self.text, t.pos)
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -292,88 +311,48 @@ class _Parser:
     def expect(self, text: str) -> _Tok:
         t = self.peek()
         if t.text != text:
-            raise SfcSyntaxError(t.line, t.col, repr(text), t.text)
+            raise SfcSyntaxError(*self.at(t), repr(text), t.text)
         return self.next()
 
     def expect_name(self) -> _Tok:
         t = self.peek()
         if t.kind != "name" or t.text in _KEYWORDS:
-            raise SfcSyntaxError(t.line, t.col, "an identifier", t.text)
+            raise SfcSyntaxError(*self.at(t), "an identifier", t.text)
         return self.next()
 
-    # -- expressions (precedence climbing) --------------------------------
-
-    def parse_expr(self) -> Expr:
-        return self._or()
-
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.peek().text in ("||", "or"):
-            self.next()
-            e = Binary("||", e, self._and())
-        return e
-
-    def _and(self) -> Expr:
-        e = self._not()
-        while self.peek().text in ("&&", "and"):
-            self.next()
-            e = Binary("&&", e, self._not())
-        return e
-
-    def _not(self) -> Expr:
-        if self.peek().text in ("!", "not"):
-            self.next()
-            return Unary("!", self._not())
-        return self._cmp()
-
-    def _cmp(self) -> Expr:
-        e = self._add()
-        if self.peek().text in _CMP_OPS:
-            op = self.next().text
-            e = Binary(op, e, self._add())
-        return e
-
-    def _add(self) -> Expr:
-        e = self._mul()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            e = Binary(op, e, self._mul())
-        return e
-
-    def _mul(self) -> Expr:
-        e = self._unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            e = Binary(op, e, self._unary())
-        return e
-
-    def _unary(self) -> Expr:
-        t = self.peek()
-        if t.text == "-":
-            self.next()
-            return Unary("-", self._unary())
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        t = self.peek()
-        if t.text == "(":
-            self.next()
-            e = self.parse_expr()
+    def parse_expr(self, min_prec: int = 0) -> Expr:
+        """Precedence climbing over _PRECEDENCE, reading operators that
+        bind at least ``min_prec``. A binary operator's right operand binds
+        tighter than it. An operator may follow an operand of a comparison
+        or a prefix operator only if it binds looser than that operator,
+        and of any other operator only if it binds no tighter."""
+        t = self.next()
+        op = _SPELLING.get(t.text, t.text)
+        ceiling = _PRECEDENCE["u-"]
+        if op in _PREFIX and _PRECEDENCE[_PREFIX[op]] >= min_prec:
+            ceiling = _PRECEDENCE[_PREFIX[op]]
+            left = Unary(op, self.parse_expr(ceiling))
+        elif op == "(":
+            left = self.parse_expr()
             self.expect(")")
-            return e
-        if t.kind == "num":
+        elif t.kind == "num":
+            left = IntLit(int(t.text))
+        elif t.text in ("true", "false"):
+            left = TRUE if t.text == "true" else FALSE
+        elif t.kind == "name" and t.text not in _KEYWORDS:
+            left = VarRef(t.text)
+        else:
+            raise SfcSyntaxError(*self.at(t), "an expression", t.text)
+        while True:
+            op = self.peek().text
+            op = _SPELLING.get(op, op)
+            if op not in _BINARY_OPS or \
+                    not min_prec <= _PRECEDENCE[op] < ceiling:
+                return left
             self.next()
-            return IntLit(int(t.text))
-        if t.text == "true":
-            self.next()
-            return TRUE
-        if t.text == "false":
-            self.next()
-            return FALSE
-        if t.kind == "name" and t.text not in _KEYWORDS:
-            self.next()
-            return VarRef(t.text)
-        raise SfcSyntaxError(t.line, t.col, "an expression", t.text)
+            prec = _PRECEDENCE[op]
+            ceiling = prec if op in _CMP_OPS else prec + 1
+            left = Binary(op, left, self.parse_expr(prec + 1))
 
     # -- program ------------------------------------------------------------
 
@@ -405,10 +384,10 @@ class _Parser:
                 self.expect(";")
             else:
                 raise SfcSyntaxError(
-                    t.line, t.col, "'var', 'step', 'trans' or 'init'", t.text)
+                    *self.at(t), "'var', 'step', 'trans' or 'init'", t.text)
         if initial is None:
             t = self.peek()
-            raise SfcSyntaxError(t.line, t.col, "an 'init' declaration")
+            raise SfcSyntaxError(*self.at(t), "an 'init' declaration")
         prog = SfcProgram(tuple(vars_), tuple(steps), tuple(transitions),
                           initial)
         _typecheck(prog)
@@ -420,7 +399,7 @@ class _Parser:
         self.expect(":")
         t = self.peek()
         if t.text not in ("int", "bool"):
-            raise SfcSyntaxError(t.line, t.col, "'int' or 'bool'", t.text)
+            raise SfcSyntaxError(*self.at(t), "'int' or 'bool'", t.text)
         kind = self.next().text
         self.expect("=")
         init = self.parse_expr()
@@ -431,10 +410,10 @@ class _Parser:
                 init = IntLit(-init.operand.value)
             else:
                 raise SfcTypeError(f"initializer of int {name!r} must be an "
-                                   "integer literal", t.line, t.col)
+                                   "integer literal", *self.at(t))
         if kind == "bool" and not isinstance(init, BoolLit):
             raise SfcTypeError(f"initializer of bool {name!r} must be a "
-                               "boolean literal", t.line, t.col)
+                               "boolean literal", *self.at(t))
         return VarDecl(name, kind, init)
 
     def _step(self) -> Step:
@@ -446,7 +425,7 @@ class _Parser:
             t = self.peek()
             if t.text not in QUALIFIER_ORDER:
                 raise SfcSyntaxError(
-                    t.line, t.col, "'entry', 'active' or 'exit'", t.text)
+                    *self.at(t), "'entry', 'active' or 'exit'", t.text)
             qual = self.next().text
             aname = self.expect_name().text
             self.expect("{")
@@ -578,10 +557,6 @@ def validate_sfc(prog: SfcProgram) -> list:
 
 # ---------------------------------------------------------------------------
 # printing (canonical text; parse(pretty_print(p)) round-trips)
-
-_PRECEDENCE = {"||": 1, "&&": 2, "!": 3, "<": 4, "<=": 4, "=": 4, "!=": 4,
-               ">=": 4, ">": 4, "+": 5, "-": 5, "*": 6, "/": 6, "u-": 7}
-
 
 def expr_to_str(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, IntLit):

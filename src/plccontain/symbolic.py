@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sfc_core import (Binary, BoolLit, Expr, IntLit, Unary, VarRef,
-                       infer_type)
+from .sfc_core import Binary, BoolLit, Expr, IntLit, Unary, VarRef
 
 DEFAULT_BOOL_BOUND = 16
 DEFAULT_MONOMIAL_CAP = 4096
@@ -106,11 +105,11 @@ def _mk_poly(mapping: dict) -> IntNorm:
 
 
 def int_const(c: int) -> IntNorm:
-    return _mk_poly({(): c}) if c else IntNorm(())
+    return IntNorm((((), c),)) if c else IntNorm(())
 
 
 def int_var(name: str) -> IntNorm:
-    return _mk_poly({((name, 1),): 1})
+    return IntNorm(((((name, 1),), 1),))
 
 
 def int_add(a: IntNorm, b: IntNorm) -> IntNorm:
@@ -179,6 +178,8 @@ def int_vars(p: IntNorm) -> frozenset:
 
 def int_substitute(p: IntNorm, mapping: dict) -> IntNorm:
     """Replace variable atoms by polynomials; mapping: name -> IntNorm."""
+    if mapping.keys().isdisjoint(int_vars(p)):
+        return p
     acc = int_const(0)
     for m, c in p.terms:
         term = int_const(c)
@@ -446,68 +447,46 @@ def bnot(a: BoolNorm) -> BoolNorm:
 # normalization of expressions
 
 
+_ARITH = {"+": int_add, "-": int_sub, "*": int_mul, "/": int_div}
+_LOGIC = {"&&": band, "||": bor}
+# a OP b  <=>  lhs - rhs + offset <= 0, with b on the left when swapped
+_ORDER = {"<": (False, 1), "<=": (False, 0), ">": (True, 1), ">=": (True, 0)}
+
+
 def normalize(e: Expr, env: dict,
               settings: NormSettings = DEFAULT_SETTINGS):
-    """Normalize a well-typed expression; env maps names to 'int'/'bool'."""
-    if infer_type(e, env) == "int":
-        return _norm_int(e, env, settings)
-    return _norm_bool(e, env, settings)
-
-
-def _norm_int(e: Expr, env: dict, st: NormSettings) -> IntNorm:
+    """Normalize a well-typed expression; env maps names to 'int'/'bool'.
+    A subterm's kind is the kind of its normal form."""
     if isinstance(e, IntLit):
         return int_const(e.value)
-    if isinstance(e, VarRef):
-        return int_var(e.name)
-    if isinstance(e, Unary) and e.op == "-":
-        return int_neg(_norm_int(e.operand, env, st))
-    if isinstance(e, Binary):
-        a = _norm_int(e.left, env, st)
-        b = _norm_int(e.right, env, st)
-        if e.op == "+":
-            return int_add(a, b)
-        if e.op == "-":
-            return int_sub(a, b)
-        if e.op == "*":
-            return int_mul(a, b)
-        if e.op == "/":
-            return int_div(a, b)
-    raise KindMismatch(f"not an int expression: {e!r}")
-
-
-def _norm_bool(e: Expr, env: dict, st: NormSettings) -> BoolNorm:
     if isinstance(e, BoolLit):
         return BTRUE if e.value else BFALSE
     if isinstance(e, VarRef):
-        return _from_atom(BVar(e.name))
-    if isinstance(e, Unary) and e.op == "!":
-        return bnot(_norm_bool(e.operand, env, st))
+        return int_var(e.name) if env[e.name] == "int" \
+            else _from_atom(BVar(e.name))
+    if isinstance(e, Unary) and e.op in ("-", "!"):
+        a = normalize(e.operand, env, settings)
+        return int_neg(a) if e.op == "-" else bnot(a)
     if isinstance(e, Binary):
-        if e.op in ("&&", "||"):
-            a = _norm_bool(e.left, env, st)
-            b = _norm_bool(e.right, env, st)
-            return band(a, b, st) if e.op == "&&" else bor(a, b, st)
-        if e.op in ("<", "<=", "=", "!=", ">=", ">"):
-            if infer_type(e.left, env) == "bool":
-                a = _norm_bool(e.left, env, st)
-                b = _norm_bool(e.right, env, st)
-                same = bor(band(a, b, st),
-                           band(bnot(a), bnot(b), st), st)
-                return same if e.op == "=" else bnot(same)
-            a = _norm_int(e.left, env, st)
-            b = _norm_int(e.right, env, st)
-            one = int_const(1)
-            if e.op == "<":
-                return _from_atom(mk_lez(int_add(int_sub(a, b), one)))
-            if e.op == "<=":
-                return _from_atom(mk_lez(int_sub(a, b)))
-            if e.op == ">":
-                return _from_atom(mk_lez(int_add(int_sub(b, a), one)))
-            if e.op == ">=":
-                return _from_atom(mk_lez(int_sub(b, a)))
-            eq = _from_atom(mk_eqz(int_sub(a, b)))
-            return eq if e.op == "=" else bnot(eq)
-    raise KindMismatch(f"not a bool expression: {e!r}")
+        a = normalize(e.left, env, settings)
+        b = normalize(e.right, env, settings)
+        if e.op in _ARITH:
+            return _ARITH[e.op](a, b)
+        if e.op in _LOGIC:
+            return _LOGIC[e.op](a, b, settings)
+        if e.op in _ORDER:
+            swap, offset = _ORDER[e.op]
+            diff = int_sub(b, a) if swap else int_sub(a, b)
+            return _from_atom(mk_lez(
+                int_add(diff, int_const(offset)) if offset else diff))
+        if e.op in ("=", "!="):
+            if isinstance(a, BoolNorm):
+                same = bor(band(a, b, settings),
+                           band(bnot(a), bnot(b), settings), settings)
+            else:
+                same = _from_atom(mk_eqz(int_sub(a, b)))
+            return same if e.op == "=" else bnot(same)
+    raise KindMismatch(f"cannot normalize {e!r}")
 
 
 def expr_equiv(a, b) -> bool:
@@ -535,7 +514,8 @@ def bool_vars(bn: BoolNorm) -> frozenset:
 def bool_substitute(bn: BoolNorm, mapping: dict,
                     settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
     """mapping: name -> NormExpr (IntNorm for int vars, BoolNorm for bool)."""
-
+    if mapping.keys().isdisjoint(bool_vars(bn)):
+        return bn
     int_map = {k: v for k, v in mapping.items() if isinstance(v, IntNorm)}
 
     def sub_atom(atom) -> BoolNorm:
@@ -765,7 +745,7 @@ def transform_to_str(t: StateTransform) -> str:
 
 def rename_map(eta_v) -> dict:
     """eta_v pairs (canonical, other) -> substitution other -> canonical."""
-    return {other: canon for canon, other in eta_v}
+    return {other: canon for canon, other in eta_v if other != canon}
 
 
 def _rename_norm(v, ren: dict, settings: NormSettings) -> object:
@@ -783,7 +763,7 @@ def drop_uncommon_guard_seq(seq: GuardSeq, common: frozenset, eta_v,
     """Rename eta_v-matched variables to the canonical side, then replace
     literals over remaining uncommon variables with True (projection)."""
     ren = rename_map(eta_v)
-    keep = frozenset(common) | frozenset(ren.values())
+    keep = frozenset(common) | frozenset(canon for canon, _ in eta_v)
     out = []
     for entry in seq:
         e = _rename_norm(entry, ren, settings)
@@ -801,7 +781,7 @@ def drop_uncommon_transform(t: StateTransform, common: frozenset, eta_v,
     if not t.consistent:
         return t
     ren = rename_map(eta_v)
-    keep = frozenset(common) | frozenset(ren.values())
+    keep = frozenset(common) | frozenset(canon for canon, _ in eta_v)
     out = {}
     consistent = True
     for k, v in t.entries:

@@ -220,3 +220,50 @@ def test_unread_flags_are_rejected(argv, capsys):
     lines = _error_lines(capsys.readouterr().err)
     assert len(lines) == 1
     assert lines[0].startswith("error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["check", V0, V1, "--out", "{file}/sub"],
+    ["gen-bench", "--cls", "basic", "--seed", "1", "--out", "{file}"],
+    ["mutate", V0, "--kind", "type1", "--out", "{file}"],
+])
+def test_output_dir_is_a_file_exit_one(tmp_path, capsys, command):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    argv = [arg.replace("{file}", str(blocker)) for arg in command]
+    assert main(argv) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and str(blocker) in lines[0]
+
+
+def test_mutate_division_by_zero_exit_one(tmp_path, capsys):
+    chart = tmp_path / "div.sfc"
+    chart.write_text("""var g : bool = false;
+var x : int = 0;
+var y : int = 0;
+step s0 { }
+step s1 { entry Div { y := 1; x := 1 / x; } }
+step s2 { entry A { y := y + 1; } }
+step s3 { entry B { y := y + 2; } }
+trans T1 : s0 -> s1;
+trans T2 : s1 -> s2 when g;
+trans T3 : s1 -> s3 when !g;
+trans T4 : s2 -> s0;
+trans T5 : s3 -> s0;
+init s0;
+""")
+    rc = main(["mutate", str(chart), "--kind", "type1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: division by zero in 1 / x"]
+
+
+def test_check_deeply_parenthesized_chart(tmp_path, capsys):
+    chart = _write_chart(tmp_path / "deep.sfc", "",
+                         "(" * 400 + "z + 1" + ")" * 400)
+    rc = main(["check", chart, chart, "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert "N0 ≡ N1" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert doc["verdict"] == "EQUIVALENT"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -46,6 +48,34 @@ def test_syntax_error_positions():
     with pytest.raises(SfcSyntaxError) as exc:
         parse_sfc("var x : int = 1\nstep s0 { } init s0;")
     assert exc.value.line == 2  # missing semicolon spotted at 'step'
+
+
+_GUARD_CHART = ("var a : int = 0; var p : bool = false; step s0 { } "
+                "step s1 { } trans T : s0 -> s1 when {}; init s0;")
+
+
+@pytest.mark.parametrize("guard, message", [
+    ("a < 1 < 2", "1:94: expected ';', found '<'"),
+    ("a + !p", "1:92: expected an expression, found '!'"),
+    ("p = !p", "1:92: expected an expression, found '!'"),
+    ("(a > 1", "1:94: expected ')', found ';'"),
+])
+def test_expression_syntax_errors(guard, message):
+    with pytest.raises(SfcSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_sfc(_GUARD_CHART.replace("{}", guard))
+
+
+def test_stray_character_position():
+    with pytest.raises(SfcSyntaxError) as exc:
+        parse_sfc("var x : int = 0;\nstep s0 {\n  entry A { x := x @ 1; }\n}")
+    assert (exc.value.line, exc.value.col) == (3, 20)
+    assert str(exc.value) == "3:20: expected a token, found '@'"
+
+
+def test_not_takes_a_comparison():
+    p = parse_sfc(_GUARD_CHART.replace("{}", "!a > 1 && p"))
+    assert p.transitions[0].guard == Binary(
+        "&&", Unary("!", Binary(">", VarRef("a"), IntLit(1))), VarRef("p"))
 
 
 def test_type_error():
