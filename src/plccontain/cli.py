@@ -28,6 +28,7 @@ from .benchmarks import CLASSES, GenerationRetryExceeded, gen_bench
 from .containment import ConfigError, containment_checker
 from .mutation import (MutationInapplicable, MutationSpec, SelectorNotFound,
                        mutate)
+from .oracle import OracleBudgetExceeded
 from .path_engine import (TrackerLimitExceeded, cover_to_json,
                           path_constructor)
 from .petri_net import EvalError, net_to_json, translate
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
             return 0
     except (ConfigError, SfcError, SelectorNotFound, MutationInapplicable,
             GenerationRetryExceeded, TrackerLimitExceeded,
-            NormalizationOverflow, EvalError) as exc:
+            NormalizationOverflow, EvalError, OracleBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

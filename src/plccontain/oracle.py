@@ -48,7 +48,8 @@ def _valuations(net: PetriNet, names, window, limit=200_000):
     for d in domains:
         total *= len(d)
     if total > limit:
-        raise OracleBudgetExceeded(f"{total} input valuations")
+        raise OracleBudgetExceeded(f"{total} input valuations exceed the "
+                                   f"oracle's limit of {limit}")
     for combo in product(*domains):
         yield dict(zip(names, combo))
 

@@ -3,16 +3,20 @@
 Places carry variable-update sequences; transitions carry guards only.
 Nets produced by ``translate`` are deterministic (no two enabled
 transitions share a pre-place) and 1-safe. The simulator fires the whole
-enabled set each round, and ``successor_marking`` rejects a shared
-pre-place, an unsafe marking or a write conflict. The simulator doubles
-as the brute-force behavioral oracle used to certify generated benchmarks
-and to cross-check containment verdicts.
+enabled set each round and rejects a shared pre-place, an unsafe marking
+or a write conflict. It runs on a firing plan compiled once per net;
+``eval_expr``, ``enabled_transitions`` and ``successor_marking`` are the
+one-step reference semantics it agrees with. The simulator doubles as the
+brute-force behavioral oracle used to certify generated benchmarks and to
+cross-check containment verdicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import partial
 
 from .sfc_core import (Expr, SfcProgram, TRUE, VarRef, IntLit,
                        BoolLit, Unary, Binary, expr_to_str, negate,
@@ -155,16 +159,14 @@ def initial_state(net: PetriNet) -> dict:
 
 
 def initial_marking(net: PetriNet, overrides: dict = None) -> Marking:
-    """Marking at tick 0; initially marked places run their updates once."""
+    """Marking at tick 0; initially marked places run their updates once,
+    against the initial state with ``overrides`` applied."""
     state = initial_state(net)
     if overrides:
         state.update(overrides)
-    pm = net.place_map()
-    writes = {}
-    for pid in sorted(net.initial_marking, key=natural_key):
-        _run_updates(pm[pid].on_mark, state, writes, pid)
-    state.update({k: v for k, (v, _src) in writes.items()})
-    return Marking(net.initial_marking, state, 0)
+    after = dict(state)
+    _commit_blocks(_plan(net).initial_blocks(), state, after)
+    return Marking(net.initial_marking, after, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,61 @@ def eval_expr(e: Expr, state: dict):
         if e.op == ">":
             return a > b
     raise EvalError(f"cannot evaluate {e!r}")
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "<": operator.lt, "<=": operator.le, "=": operator.eq,
+           "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
+def compile_expr(e: Expr):
+    """A closure ``f`` with ``f(state) == eval_expr(e, state)``: the same
+    value, the same evaluation order and the same errors, raised only when
+    the failing node is evaluated."""
+    if isinstance(e, (IntLit, BoolLit)):
+        value = e.value
+        return lambda state: value
+    if isinstance(e, VarRef):
+        return operator.itemgetter(e.name)
+    if isinstance(e, Unary):
+        f = compile_expr(e.operand)
+        if e.op == "-":
+            return lambda state: -f(state)
+        return lambda state: not f(state)
+    if isinstance(e, Binary):
+        a, b = compile_expr(e.left), compile_expr(e.right)
+        if e.op == "&&":
+            return lambda state: bool(a(state)) and bool(b(state))
+        if e.op == "||":
+            return lambda state: bool(a(state)) or bool(b(state))
+        op = _BINARY.get(e.op)
+        if op is not None:
+            return lambda state: op(a(state), b(state))
+
+        def div_or_unknown(state):
+            x, y = a(state), b(state)
+            if e.op != "/":
+                raise EvalError(f"cannot evaluate {e!r}")
+            if y == 0:
+                raise EvalError(f"division by zero in {expr_to_str(e)}")
+            return tdiv(x, y)
+        return div_or_unknown
+
+    def unknown(state):
+        raise EvalError(f"cannot evaluate {e!r}")
+    return unknown
+
+
+def compile_updates(updates):
+    """A closure ``f`` with ``f(state) == _run_updates(updates, state)``."""
+    pairs = tuple((var, compile_expr(rhs)) for var, rhs in updates)
+
+    def run(state):
+        local, mine = dict(state), {}
+        for var, f in pairs:
+            local[var] = mine[var] = f(local)
+        return mine
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +348,42 @@ def enabled_transitions(net: PetriNet, m: Marking) -> frozenset:
     return frozenset(out)
 
 
-def _run_updates(updates, state: dict, writes: dict, pid: str) -> None:
-    """Run one place's sequence against the pre-round state, recording its
-    final writes. Two places writing one variable in a round conflict."""
+def _run_updates(updates, state: dict) -> dict:
+    """Run one place's sequence against the pre-round state; returns its
+    final writes. The reference for ``compile_updates``."""
     local = dict(state)
     mine = {}
     for var, rhs in updates:
         val = eval_expr(rhs, local)
         local[var] = val
         mine[var] = val
-    for var, val in mine.items():
-        if var in writes and writes[var][1] != pid:
-            raise WriteConflict(
-                f"places {writes[var][1]!r} and {pid!r} both write {var!r}")
-        writes[var] = (val, pid)
+    return mine
 
 
-def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
-    """Successor marking: post-places of the fired set plus surviving tokens;
-    newly marked places run their update sequences against the pre-round
-    state, then writes commit together."""
-    maps = net._maps()
+def _commit_blocks(blocks, before: dict, after: dict) -> None:
+    """Run each ``(place, block)`` of a round in order against the
+    pre-round state ``before`` and commit its final writes into ``after``.
+    Two places writing one variable in a round conflict."""
+    owner = {}
+    for pid, block in blocks:
+        mine = block(before)
+        for var in mine:
+            if var in owner:
+                raise WriteConflict(f"places {owner[var]!r} and {pid!r} "
+                                    f"both write {var!r}")
+            owner[var] = pid
+        after.update(mine)
+
+
+def _fire_structure(maps: dict, marked: frozenset, fired):
+    """The part of a round that no state decides: the successor marking,
+    and the newly marked places in natural order, each with whether its
+    own self-loop re-marked it. Raises ConflictingFire on a shared
+    pre-place and UnsafeMarking on a second token in a place."""
     pre_p, post_p = maps["pre_p"], maps["post_p"]
-    pm, self_loops = maps["place_map"], maps["self_loops"]
     order = sorted(frozenset(fired), key=natural_key)
-    marked, state0 = m.marked, m.state
     pre_seen = {}
     for tid in order:
-        if not pre_p[tid] <= marked or not eval_expr(maps["trans_map"][tid].guard, state0):
-            raise NotEnabled(f"transition {tid!r} is not enabled")
         for p in pre_p[tid]:
             if p in pre_seen:
                 raise ConflictingFire(
@@ -335,18 +399,30 @@ def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
             if p in survivors:
                 raise UnsafeMarking(f"token pushed into marked place {p!r}")
             newly[p] = tid
+    self_loops = maps["self_loops"]
+    return survivors | frozenset(newly), [
+        (p, self_loops.get(p) == newly[p])
+        for p in sorted(newly, key=natural_key)]
 
-    state = dict(state0)
-    writes = {}
-    for p in sorted(newly, key=natural_key):
-        producer = newly[p]
-        place = pm[p]
-        if self_loops.get(p) == producer:
-            _run_updates(place.on_self_loop, state0, writes, p)
-        else:
-            _run_updates(place.on_mark, state0, writes, p)
-    state.update({k: v for k, (v, _src) in writes.items()})
-    return Marking(survivors | frozenset(newly), state, m.tick + 1)
+
+def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
+    """Successor marking: post-places of the fired set plus surviving tokens;
+    newly marked places run their update sequences against the pre-round
+    state, then writes commit together. The one-step reference semantics:
+    every fired transition must be enabled (NotEnabled, checked before
+    ConflictingFire)."""
+    maps = net._maps()
+    pre_p, tm, pm = maps["pre_p"], maps["trans_map"], maps["place_map"]
+    for tid in sorted(frozenset(fired), key=natural_key):
+        if not pre_p[tid] <= m.marked or \
+                not eval_expr(tm[tid].guard, m.state):
+            raise NotEnabled(f"transition {tid!r} is not enabled")
+    marked, newly = _fire_structure(maps, m.marked, fired)
+    blocks = [(p, partial(_run_updates, pm[p].on_self_loop if loop
+                          else pm[p].on_mark)) for p, loop in newly]
+    state = dict(m.state)
+    _commit_blocks(blocks, m.state, state)
+    return Marking(marked, state, m.tick + 1)
 
 
 def compute_all_concur_trans(net: PetriNet, m: Marking) -> frozenset:
@@ -419,6 +495,102 @@ class InvalidModel:
     tick: int = 0
 
 
+@dataclass(slots=True)
+class _Ready:
+    """The transitions structurally ready at one marking, in
+    ``net.transitions`` order with their compiled guards, and the steps
+    taken from it so far, by fired ids."""
+    marked: frozenset
+    guards: tuple
+    steps: dict = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _Step:
+    """One round from a marking with a given fired set: the successor
+    marking, the compiled update blocks in the order they run, whether the
+    round synchronizes, or why the round is invalid."""
+    fired: frozenset
+    marked: frozenset = None
+    blocks: tuple = ()
+    sync: bool = False
+    invalid: str = None
+
+
+class _Plan:
+    """A net compiled for ``simulate``. Guards and update blocks are
+    compiled from the ``Expr`` AST when first needed; ready sets are
+    memoised per marking and steps per (marking, fired set), so the
+    natural-order sorts of a round run once per distinct round. The plan
+    holds the net's maps but never the net, so a net never sits in a
+    reference cycle through its plan."""
+
+    def __init__(self, net: PetriNet):
+        self.maps = net._maps()
+        self.transitions = tuple((t.id, t.guard) for t in net.transitions)
+        self.initial = net.initial_marking
+        self.guards = {}
+        self.blocks = {}
+        self.ready_sets = {}
+        self._initial_blocks = None
+
+    def _blocks(self, places) -> tuple:
+        """``(place, compiled block)`` for each ``(place, self_loop)`` in
+        order, leaving out places whose sequence is empty."""
+        out = []
+        for pid, self_loop in places:
+            block = self.blocks.get((pid, self_loop))
+            if block is None:
+                place = self.maps["place_map"][pid]
+                updates = place.on_self_loop if self_loop else place.on_mark
+                block = compile_updates(updates) if updates else False
+                self.blocks[pid, self_loop] = block
+            if block:
+                out.append((pid, block))
+        return tuple(out)
+
+    def initial_blocks(self) -> tuple:
+        if self._initial_blocks is None:
+            self._initial_blocks = self._blocks(
+                (pid, False) for pid in sorted(self.initial, key=natural_key))
+        return self._initial_blocks
+
+    def ready(self, marked: frozenset) -> _Ready:
+        ready = self.ready_sets.get(marked)
+        if ready is None:
+            pre_p, guards = self.maps["pre_p"], []
+            for tid, guard in self.transitions:
+                if pre_p[tid] <= marked:
+                    fn = self.guards.get(tid)
+                    if fn is None:
+                        fn = self.guards[tid] = compile_expr(guard)
+                    guards.append((tid, fn))
+            ready = self.ready_sets[marked] = _Ready(marked, tuple(guards))
+        return ready
+
+    def step(self, ready: _Ready, fired_ids: tuple) -> _Step:
+        fired = frozenset(fired_ids)
+        try:
+            marked, newly = _fire_structure(self.maps, ready.marked, fired)
+        except ConflictingFire:
+            step = _Step(fired, invalid="nondeterministic marking")
+        except UnsafeMarking as exc:
+            step = _Step(fired, invalid=str(exc))
+        else:
+            step = _Step(fired, marked, self._blocks(newly),
+                         not fired.isdisjoint(self.maps["sync"]))
+        ready.steps[fired_ids] = step
+        return step
+
+
+def _plan(net: PetriNet) -> _Plan:
+    plan = getattr(net, "_cached_plan", None)
+    if plan is None:
+        plan = _Plan(net)
+        object.__setattr__(net, "_cached_plan", plan)
+    return plan
+
+
 def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
     """Fire the enabled set from the initial marking, incrementing the tick
     each round, until a synchronizing transition fires.
@@ -429,34 +601,45 @@ def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
     waiting for inputs ("quiescent"). InvalidModel: structural starvation
     of a live marking, nondeterminism (two enabled transitions sharing a
     pre-place), 1-safety violations, same-round write conflicts.
+
+    Runs on the net's compiled plan, evaluating each ready guard once per
+    round; ``enabled_transitions`` and ``successor_marking`` are the
+    reference it agrees with.
     """
+    plan = _plan(net)
     m = initial_marking(net, state)
-    before = m.state
+    state = before = m.state
+    ready = plan.ready(m.marked)
     rounds = []
-    sync_ids = net.synchronizing_ids()
-    for _ in range(fuel):
-        fired = enabled_transitions(net, m)
+    for tick in range(fuel):
+        fired = tuple([tid for tid, guard in ready.guards if guard(state)])
         if not fired:
-            if not m.marked:
+            m = Marking(ready.marked, state, tick)
+            if not ready.marked:
                 return Trace(rounds, m, "halt", before)
-            structurally_ready = any(
-                net.pre_places(t.id) <= m.marked for t in net.transitions)
-            if structurally_ready:
+            if ready.guards:
                 return Trace(rounds, m, "quiescent", before)
-            if all(not net.post_transitions(p) for p in m.marked):
+            if all(not net.post_transitions(p) for p in ready.marked):
                 return Trace(rounds, m, "halt", before)
             return InvalidModel("structural starvation at a live marking",
-                                m.tick)
-        try:
-            nxt = successor_marking(net, m, fired)
-        except ConflictingFire:
-            return InvalidModel("nondeterministic marking", m.tick)
-        except (UnsafeMarking, WriteConflict) as exc:
-            return InvalidModel(str(exc), m.tick)
-        rounds.append(TraceRound(m.tick, fired))
-        before, m = m.state, nxt
-        if fired & sync_ids:
-            return Trace(rounds, m, "sync", before)
+                                tick)
+        step = ready.steps.get(fired) or plan.step(ready, fired)
+        if step.invalid is not None:
+            return InvalidModel(step.invalid, tick)
+        after = state  # a round that writes nothing shares its state
+        if step.blocks:
+            after = dict(state)
+            try:
+                _commit_blocks(step.blocks, state, after)
+            except WriteConflict as exc:
+                return InvalidModel(str(exc), tick)
+        rounds.append(TraceRound(tick, step.fired))
+        before, state = state, after
+        if step.sync:
+            return Trace(rounds, Marking(step.marked, state, tick + 1),
+                         "sync", before)
+        ready = plan.ready(step.marked)
+    m = Marking(ready.marked, state, len(rounds))
     return Trace(rounds, m, "fuel", before)
 
 

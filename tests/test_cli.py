@@ -267,3 +267,35 @@ def test_check_deeply_parenthesized_chart(tmp_path, capsys):
     assert "N0 ≡ N1" in capsys.readouterr().out
     doc = json.loads((tmp_path / "r" / "report.json").read_text())
     assert doc["verdict"] == "EQUIVALENT"
+
+
+def test_gen_bench_oracle_budget_exit_one(tmp_path, capsys):
+    rc = main(["gen-bench", "--cls", "basic", "--seed", "1",
+               "--int-window", "0..100000", "--out", str(tmp_path)])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: 800008 input valuations exceed the oracle's limit of 200000"]
+
+
+def test_mutate_oracle_budget_exit_one(tmp_path, capsys):
+    # nine integer inputs and one boolean input: 4**9 * 2 valuations
+    ints = [f"i{k}" for k in range(9)]
+    chart = tmp_path / "wide.sfc"
+    chart.write_text("var g : bool = false;\n" + "".join(
+        f"var {n} : int = 0;\n" for n in ints) + f"""var y : int = 0;
+step s0 {{ }}
+step s1 {{ }}
+step s2 {{ entry A {{ y := {' + '.join(ints)}; }} }}
+step s3 {{ entry B {{ y := 2; }} }}
+trans T1 : s0 -> s1;
+trans T2 : s1 -> s2 when g;
+trans T3 : s1 -> s3 when !g;
+trans T4 : s2 -> s0;
+trans T5 : s3 -> s0;
+init s0;
+""")
+    rc = main(["mutate", str(chart), "--kind", "type1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        "error: 524288 input valuations exceed the oracle's limit of 200000"]

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,15 @@ from plccontain.petri_net import (ConflictingFire, EvalError, InvalidModel,
                                   Marking, NotEnabled, Place, PnTransition,
                                   PetriNet, Trace, UnsafeMarking,
                                   WriteConflict, _maximal_disjoint_sets,
-                                  compute_all_concur_trans,
-                                  enabled_transitions, initial_marking,
-                                  net_to_json, simulate, successor_marking,
-                                  translate)
-from plccontain.sfc_core import (Binary, IntLit, TRUE, VarDecl,
-                                 VarRef, parse_sfc)
+                                  _run_updates, compile_expr,
+                                  compile_updates, compute_all_concur_trans,
+                                  enabled_transitions, eval_expr,
+                                  initial_marking, initial_state,
+                                  net_to_json, simulate,
+                                  successor_marking, translate)
+from plccontain._util import natural_key
+from plccontain.sfc_core import (_PRECEDENCE, Binary, BoolLit, IntLit, TRUE,
+                                 FALSE, Unary, VarDecl, VarRef, parse_sfc)
 
 
 def _mini_net(guards=None, arcs=None, places=("p0", "p1"), init=("p0",),
@@ -141,7 +147,16 @@ def test_token_into_marked_place_is_unsafe():
                     places=("p0", "p1"), init=("p0", "p1"))
     with pytest.raises(UnsafeMarking):
         successor_marking(net, initial_marking(net), {"t1"})
-    assert isinstance(simulate(net), InvalidModel)
+    assert simulate(net) == \
+        InvalidModel("token pushed into marked place 'p1'", 0)
+
+
+def test_two_tokens_into_one_place_is_unsafe():
+    # the second round pushes a token into p3 from p1 and from p5
+    net = _mini_net(arcs={"t0": (["p0"], ["p1"]), "t2": (["p2"], ["p5"]),
+                          "ta": (["p1"], ["p3"]), "tb": (["p5"], ["p3"])},
+                    places=("p0", "p1", "p2", "p3", "p5"), init=("p0", "p2"))
+    assert simulate(net) == InvalidModel("two tokens pushed into 'p3'", 1)
 
 
 def test_same_round_write_conflict():
@@ -156,6 +171,26 @@ def test_same_round_write_conflict():
                    frozenset(["p0"]))
     with pytest.raises(WriteConflict):
         successor_marking(net, initial_marking(net), {"t"})
+    assert simulate(net) == \
+        InvalidModel("places 'pa' and 'pb' both write 'x'", 0)
+
+
+def test_write_conflict_after_first_round():
+    a = Place("pa", frozenset(["x"]), (("x", IntLit(1)),),
+              (("x", IntLit(1)),), ())
+    b = Place("pb", frozenset(["x", "y"]),
+              (("y", IntLit(2)), ("x", IntLit(2))),
+              (("y", IntLit(2)), ("x", IntLit(2))), ())
+    src, mid = (Place(p, frozenset(), (), (), ()) for p in ("p0", "p1"))
+    net = PetriNet((src, mid, a, b),
+                   (VarDecl("x", "int", IntLit(0)),
+                    VarDecl("y", "int", IntLit(0))),
+                   (PnTransition("t0"), PnTransition("t1")),
+                   frozenset({("p0", "t0"), ("p1", "t1")}),
+                   frozenset({("t0", "p1"), ("t1", "pa"), ("t1", "pb")}),
+                   frozenset(["p0"]))
+    assert simulate(net) == \
+        InvalidModel("places 'pa' and 'pb' both write 'x'", 1)
 
 
 def test_update_rhs_reads_pre_round_state():
@@ -201,6 +236,108 @@ def test_guard_division_by_zero():
                                VarDecl("y", "int", IntLit(0))])
     with pytest.raises(EvalError):
         enabled_transitions(net, initial_marking(net))
+
+
+# ---------------------------------------------------------------------------
+# compiled guards and update blocks against eval_expr
+
+UNARY_OPS = ("!", "-")
+BINARY_OPS = tuple(op for op in _PRECEDENCE if op not in ("!", "u-"))
+NAMES = ("x", "y", "b")
+
+
+def _outcome(fn, *args):
+    """Value with its type, or the EvalError message."""
+    try:
+        value = fn(*args)
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+    if isinstance(value, dict):
+        return [(k, type(v), v) for k, v in value.items()]
+    return (type(value), value)
+
+
+_leaves = st.one_of(st.builds(IntLit, st.integers(-3, 3)),
+                    st.builds(BoolLit, st.booleans()),
+                    st.builds(VarRef, st.sampled_from(NAMES)))
+_exprs = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Unary, st.sampled_from(UNARY_OPS), sub),
+    st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub)),
+    max_leaves=12)
+_states = st.fixed_dictionaries({"x": st.integers(-3, 3),
+                                 "y": st.integers(-3, 3),
+                                 "b": st.booleans()})
+
+
+def test_compiled_operators_match_eval_expr():
+    values = (-2, -1, 0, 1, 3, False, True)
+    assert set(BINARY_OPS) == {"||", "&&", "<", "<=", "=", "!=", ">=",
+                               ">", "+", "-", "*", "/"}
+    for op in UNARY_OPS:
+        for v in values:
+            e, state = Unary(op, VarRef("x")), {"x": v}
+            assert _outcome(compile_expr(e), state) == \
+                _outcome(eval_expr, e, state)
+    for op in BINARY_OPS:
+        for v, w in itertools.product(values, repeat=2):
+            for e in (Binary(op, VarRef("x"), VarRef("y")),
+                      Binary(op, VarRef("x"), IntLit(w))):
+                state = {"x": v, "y": w}
+                assert _outcome(compile_expr(e), state) == \
+                    _outcome(eval_expr, e, state), (op, v, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exprs, _states)
+def test_compiled_expr_matches_eval_expr(e, state):
+    assert _outcome(compile_expr(e), state) == _outcome(eval_expr, e, state)
+
+
+def test_compiled_division_by_zero_message():
+    zero = Binary("-", VarRef("y"), VarRef("y"))
+    e = Binary("+", IntLit(1), Binary("/", VarRef("x"), zero))
+    state = {"x": 4, "y": 2}
+    with pytest.raises(EvalError) as ref:
+        eval_expr(e, state)
+    with pytest.raises(EvalError) as got:
+        compile_expr(e)(state)
+    assert str(got.value) == str(ref.value) == \
+        "division by zero in x / (y - y)"
+
+
+def test_compiled_short_circuit_skips_zero_division():
+    boom = Binary(">", Binary("/", VarRef("x"), VarRef("y")), IntLit(0))
+    state = {"x": 1, "y": 0}
+    for e, want in ((Binary("&&", FALSE, boom), False),
+                    (Binary("||", TRUE, boom), True),
+                    (Binary("&&", Binary("!=", VarRef("y"), IntLit(0)),
+                            boom), False)):
+        assert eval_expr(e, state) is want
+        assert compile_expr(e)(state) is want
+    with pytest.raises(EvalError):
+        compile_expr(Binary("||", FALSE, boom))(state)
+
+
+def test_compiled_block_reads_its_own_writes():
+    updates = (("x", Binary("+", VarRef("y"), IntLit(1))),
+               ("y", Binary("*", VarRef("x"), IntLit(2))),
+               ("x", Binary("+", VarRef("x"), VarRef("y"))))
+    state = {"x": 5, "y": 1, "b": False}
+    assert compile_updates(updates)(state) == \
+        _run_updates(updates, state) == {"x": 6, "y": 4}
+    assert list(compile_updates(updates)(state)) == ["x", "y"]
+    assert state == {"x": 5, "y": 1, "b": False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NAMES), _exprs), max_size=4),
+       _states)
+def test_compiled_updates_match_run_updates(updates, state):
+    updates = tuple(updates)
+    before = dict(state)
+    assert _outcome(compile_updates(updates), state) == \
+        _outcome(_run_updates, updates, state)
+    assert state == before
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +428,14 @@ def test_simulate_structural_starvation():
     net = _mini_net(arcs={"t1": (["p0"], ["p1"]),
                           "tj": (["p1", "px"], ["p2"])},
                     places=("p0", "p1", "px", "p2"))
-    out = simulate(net)
-    assert isinstance(out, InvalidModel)
+    assert simulate(net) == \
+        InvalidModel("structural starvation at a live marking", 1)
 
 
 def test_simulate_nondeterministic_marking():
     net = _mini_net(arcs={"ta": (["p0"], ["p1"]), "tb": (["p0"], ["p2"])},
                     places=("p0", "p1", "p2"))
-    out = simulate(net)
-    assert isinstance(out, InvalidModel)
-    assert "nondeterministic" in out.reason
+    assert simulate(net) == InvalidModel("nondeterministic marking", 0)
 
 
 def _desk_nets(nets, counter_net):
@@ -324,8 +459,14 @@ def _reference_run(net, state, fuel=300):
     round, fired through `successor_marking` (which raises if a round is
     unsafe). Returns the fired sets, how the run ended ("sync", "fuel",
     "idle" when no set exists, or "nondeterministic"), the state the last
-    round fired from and the tick at the end."""
+    round fired from and the tick at the end. The initial marking's state
+    is checked against the places' updates run by `_run_updates`."""
     m = initial_marking(net, state)
+    start = {**initial_state(net), **state}
+    want = dict(start)
+    for pid in sorted(net.initial_marking, key=natural_key):
+        want.update(_run_updates(net.place_map()[pid].on_mark, start))
+    assert m.state == want
     before, fired_seq = m.state, []
     for _ in range(fuel):
         sets = compute_all_concur_trans(net, m)
@@ -345,30 +486,53 @@ def _reference_run(net, state, fuel=300):
 
 def _assert_simulate_agrees(net, state, fuel=300):
     """`simulate` fires the enabled set; it must follow the reference."""
-    fired_seq, end, before, tick = _reference_run(net, state, fuel)
     tr = simulate(net, fuel=fuel, state=state)
+    fired_seq, end, before, tick = _reference_run(net, state, fuel)
     if end == "nondeterministic":
         assert tr == InvalidModel("nondeterministic marking", tick)
         return end
     assert isinstance(tr, Trace)
-    assert [r.fired for r in tr.rounds] == fired_seq
-    assert [r.tick for r in tr.rounds] == list(range(len(fired_seq)))
+    assert [(r.tick, r.fired) for r in tr.rounds] == list(enumerate(fired_seq))
     assert tr.stopped in (("halt", "quiescent") if end == "idle" else (end,))
     assert tr.state_before_last() == before
     assert tr.final.tick == tick
     return end
 
 
+def _uncached(net):
+    """The same net with nothing cached: no maps and no firing plan."""
+    return PetriNet(*(getattr(net, f.name) for f in dataclasses.fields(net)))
+
+
 def test_invariants_on_desk_nets(nets, counter_net):
     """1-safety, determinism, tick monotonicity over an input grid, and
-    `simulate` against the reference semantics from the same states."""
+    `simulate` against the reference semantics from the same states: on a
+    cold plan, on the plan that run warmed, and on one warmed by the other
+    states of the grid."""
     ends = set()
     for net, states in _desk_nets(nets, counter_net):
         for st in states:
-            end = _assert_simulate_agrees(net, st)
+            cold = _uncached(net)
+            end = _assert_simulate_agrees(cold, st)
+            assert _assert_simulate_agrees(cold, st) == end
+            assert _assert_simulate_agrees(net, st) == end
             assert end != "nondeterministic", "determinism"
             ends.add(end)
     assert ends == {"sync", "idle"}
+
+
+def test_plan_does_not_keep_its_net_alive():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        net = translate(parse_sfc(LATE_CONFLICT))
+        assert isinstance(simulate(net, state={"x": 1}), Trace)
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 LATE_CONFLICT = """
