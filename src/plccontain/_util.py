@@ -8,6 +8,11 @@ from functools import lru_cache
 _CHUNK = re.compile(r"(\d+)")
 
 
+class PlcError(Exception):
+    """An error the command line reports as one ``error:`` line: bad
+    input, an invalid model, or a limit reached."""
+
+
 @lru_cache(maxsize=65536)
 def natural_key(s: str):
     """Sort key treating digit runs numerically: Tr4 < Tr12."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from ._util import natural_key
+from ._util import PlcError, natural_key
 from .oracle import DEFAULT_WINDOW, confirm_equivalent
 from .petri_net import translate
 from .sfc_core import (ActionBlock, Binary, BoolLit, Expr, IntLit,
@@ -30,9 +30,10 @@ from .sfc_core import (ActionBlock, Binary, BoolLit, Expr, IntLit,
                        VarRef, validate_sfc)
 
 CLASSES = ("basic", "simple", "medium", "complex")
+GEN_RETRIES = 8  # shapes drawn per seed before generation gives up
 
 
-class GenerationRetryExceeded(Exception):
+class GenerationRetryExceeded(PlcError):
     pass
 
 
@@ -544,12 +545,12 @@ def _upgrade(shape: Shape, pool: _Pool, cls: str,
 
 
 def gen_bench(cls: str, seed: int, certify: bool = True,
-              window=DEFAULT_WINDOW, retries: int = 8):
+              window=DEFAULT_WINDOW):
     """Deterministically generate an (original, upgrade) pair of the given
     class; the pair is oracle-certified equivalent before emission."""
     if cls not in CLASSES:
         raise ValueError(f"unknown benchmark class {cls!r}")
-    for attempt in range(retries):
+    for attempt in range(GEN_RETRIES):
         rng = random.Random(seed * 1009 + attempt)
         shape, pool = _shape(cls, rng)
         v0 = render(shape)

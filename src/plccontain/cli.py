@@ -24,17 +24,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from .benchmarks import CLASSES, GenerationRetryExceeded, gen_bench
+from ._util import PlcError
+from .benchmarks import CLASSES, gen_bench
 from .containment import ConfigError, containment_checker
-from .mutation import (MutationInapplicable, MutationSpec, SelectorNotFound,
-                       mutate)
-from .oracle import OracleBudgetExceeded
-from .path_engine import (TrackerLimitExceeded, cover_to_json,
-                          path_constructor)
-from .petri_net import EvalError, net_to_json, translate
+from .mutation import MutationSpec, mutate
+from .path_engine import cover_to_json, path_constructor
+from .petri_net import net_to_json, translate
 from .report import build_report, render_json, render_text
 from .sfc_core import SfcError, parse_sfc, pretty_print, validate_sfc
-from .symbolic import NormalizationOverflow, NormSettings
+from .symbolic import NormSettings
 
 
 @dataclass
@@ -227,9 +225,7 @@ def main(argv=None) -> int:
                      f"{stem}_v1.sfc": pretty_print(v1)}
             print(*_write_files(args.out, files), sep="\n")
             return 0
-    except (ConfigError, SfcError, SelectorNotFound, MutationInapplicable,
-            GenerationRetryExceeded, TrackerLimitExceeded,
-            NormalizationOverflow, EvalError, OracleBudgetExceeded) as exc:
+    except PlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from ._util import natural_key
+from ._util import PlcError, natural_key
 from .path_engine import (NotComposable, NotMergeable, Path, PathCover,
                           concatenate, merge, path_constructor)
 from .petri_net import PetriNet, WriteConflict
@@ -29,7 +29,7 @@ from .symbolic import (DEFAULT_SETTINGS, NormSettings,
                        transforms_equal)
 
 
-class ConfigError(Exception):
+class ConfigError(PlcError):
     pass
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._util import natural_key
+from ._util import PlcError, natural_key
 from .oracle import behaviorally_different
 from .petri_net import translate
 from .sfc_core import (ActionBlock, SfcProgram, Step, expr_vars,
@@ -29,11 +29,11 @@ from .sfc_core import (ActionBlock, SfcProgram, Step, expr_vars,
 MUTATION_KINDS = ("type1", "type2", "type3")
 
 
-class SelectorNotFound(Exception):
+class SelectorNotFound(PlcError):
     pass
 
 
-class MutationInapplicable(Exception):
+class MutationInapplicable(PlcError):
     pass
 
 

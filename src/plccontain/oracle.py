@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ._util import natural_key
+from ._util import PlcError, natural_key
 from .petri_net import InvalidModel, PetriNet, simulate
 
 DEFAULT_WINDOW = (0, 3)
 ORACLE_FUEL = 600
+VALUATION_LIMIT = 200_000  # most input valuations one oracle call runs
 
 
-class OracleBudgetExceeded(Exception):
+class OracleBudgetExceeded(PlcError):
     pass
 
 
@@ -33,10 +34,12 @@ class Outcome:
 
 def input_vars(net: PetriNet) -> tuple:
     """Declared variables never written by any place: the net's inputs."""
-    return tuple(sorted(net.unchanged_vars(), key=natural_key))
+    written = frozenset().union(*(p.vars for p in net.places))
+    return tuple(sorted((v.name for v in net.vars if v.name not in written),
+                        key=natural_key))
 
 
-def _valuations(net: PetriNet, names, window, limit=200_000):
+def _valuations(net: PetriNet, names, window):
     env = net.var_env()
     domains = []
     for n in names:
@@ -47,17 +50,16 @@ def _valuations(net: PetriNet, names, window, limit=200_000):
     total = 1
     for d in domains:
         total *= len(d)
-    if total > limit:
+    if total > VALUATION_LIMIT:
         raise OracleBudgetExceeded(f"{total} input valuations exceed the "
-                                   f"oracle's limit of {limit}")
+                                   f"oracle's limit of {VALUATION_LIMIT}")
     for combo in product(*domains):
         yield dict(zip(names, combo))
 
 
-def run_outcome(net: PetriNet, valuation: dict, common,
-                fuel: int = ORACLE_FUEL):
+def run_outcome(net: PetriNet, valuation: dict, common):
     """Outcome of one deterministic run, or InvalidModel."""
-    tr = simulate(net, fuel=fuel, state=valuation)
+    tr = simulate(net, fuel=ORACLE_FUEL, state=valuation)
     if isinstance(tr, InvalidModel):
         return tr
     if tr.stopped != "sync":
@@ -73,7 +75,7 @@ def run_outcome(net: PetriNet, valuation: dict, common,
 
 
 def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
-                        window=DEFAULT_WINDOW, fuel: int = ORACLE_FUEL):
+                        window=DEFAULT_WINDOW):
     """True when every out-port run of n0 has a matching n1 run under some
     valuation of n1's extra inputs; returns (ok, counterexample)."""
     common = frozenset(v.name for v in n0.vars) & \
@@ -83,7 +85,7 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
     extra1 = tuple(n for n in input_vars(n1) if n not in ins0_set)
     names1 = {x.name for x in n1.vars}
     for v in _valuations(n0, ins0, window):
-        out0 = run_outcome(n0, v, common, fuel)
+        out0 = run_outcome(n0, v, common)
         if isinstance(out0, InvalidModel):
             return False, {"n0_invalid": out0.reason, "inputs": v}
         if out0.stopped != "sync":
@@ -92,7 +94,7 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
         base1 = {k: val for k, val in v.items() if k in names1}
         matched = False
         for w in _valuations(n1, extra1, window):
-            out1 = run_outcome(n1, {**base1, **w}, common, fuel)
+            out1 = run_outcome(n1, {**base1, **w}, common)
             if isinstance(out1, InvalidModel):
                 continue
             if out1.stopped == "sync" and out1.out_ports == want_ports \
@@ -106,7 +108,7 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
 
 
 def confirm_equivalent(n0: PetriNet, n1: PetriNet, f_out: dict,
-                       window=DEFAULT_WINDOW, fuel: int = ORACLE_FUEL):
+                       window=DEFAULT_WINDOW):
     """Single-pass equivalence check for pairs sharing the same inputs:
     every valuation must produce matching outcomes in both nets."""
     common = frozenset(v.name for v in n0.vars) & \
@@ -114,17 +116,17 @@ def confirm_equivalent(n0: PetriNet, n1: PetriNet, f_out: dict,
     ins0 = set(input_vars(n0))
     ins1 = set(input_vars(n1))
     if ins0 != ins1:
-        ok, ce = confirm_containment(n0, n1, f_out, window, fuel)
+        ok, ce = confirm_containment(n0, n1, f_out, window)
         if not ok:
             return ok, ce
         return confirm_containment(n1, n0,
                                    {v: k for k, v in f_out.items()},
-                                   window, fuel)
+                                   window)
     names1 = {v.name for v in n1.vars}
     for v in _valuations(n0, sorted(ins0, key=natural_key), window):
-        out0 = run_outcome(n0, v, common, fuel)
+        out0 = run_outcome(n0, v, common)
         out1 = run_outcome(n1, {k: x for k, x in v.items() if k in names1},
-                           common, fuel)
+                           common)
         if isinstance(out0, InvalidModel) or isinstance(out1, InvalidModel):
             return False, {"inputs": v, "invalid": True}
         if (out0.stopped == "sync") != (out1.stopped == "sync"):
@@ -138,9 +140,8 @@ def confirm_equivalent(n0: PetriNet, n1: PetriNet, f_out: dict,
 
 
 def behaviorally_different(n0: PetriNet, n1: PetriNet, f_out: dict,
-                           window=DEFAULT_WINDOW,
-                           fuel: int = ORACLE_FUEL) -> bool:
+                           window=DEFAULT_WINDOW) -> bool:
     """True when some input valuation produces different outcomes (used to
     certify that a mutation actually changed behavior)."""
-    ok, _ = confirm_equivalent(n0, n1, f_out, window, fuel)
+    ok, _ = confirm_equivalent(n0, n1, f_out, window)
     return not ok

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
-from ._util import natural_key
-from .petri_net import PetriNet, WriteConflict, _maximal_disjoint_sets
+from ._util import PlcError, natural_key
+from .petri_net import (PetriNet, WriteConflict, _commit_blocks,
+                        _fire_structure, _maximal_disjoint_sets)
 from .symbolic import (DEFAULT_SETTINGS, EMPTY_TRANSFORM, NormSettings,
                        StateTransform, band, compose, guard_seq,
                        guard_seq_to_str, make_transform, normalize,
@@ -211,7 +213,7 @@ class PathCover:
 # structural token tracking
 
 
-class TrackerLimitExceeded(Exception):
+class TrackerLimitExceeded(PlcError):
     """A backward walk outgrew its step bound; finishing it early would
     have truncated the path it was building."""
 
@@ -420,50 +422,39 @@ class _Tracker:
             self.record_list.append(key + (ordered[0], ordered[-1]))
 
 
-def _round_guard(net: PetriNet, env: dict, te: frozenset,
-                 settings: NormSettings):
-    g = BTRUE
-    tm = net.transition_map()
-    for t in sorted(te, key=natural_key):
-        g = band(g, normalize(tm[t].guard, env, settings), settings)
-    return g
-
-
-def _round_transform(net: PetriNet, env: dict, te: frozenset,
-                     settings: NormSettings) -> StateTransform:
-    pm = net.place_map()
-    merged = {}
-    writers = {}
-    for t in sorted(te, key=natural_key):
-        for p in sorted(net.post_places(t), key=natural_key):
-            place = pm[p]
-            ups = place.on_self_loop if net.self_loop_of(p) == t \
-                else place.on_mark
-            acc = EMPTY_TRANSFORM
-            for var, rhs in ups:
-                acc = compose(acc,
-                              make_transform({var: normalize(rhs, env,
-                                                             settings)}),
-                              settings)
-            for k, v in acc.entries:
-                if k in merged and writers[k] != p:
-                    raise WriteConflict(
-                        f"places {writers[k]!r} and {p!r} both write {k!r}")
-                merged[k] = v
-                writers[k] = p
-    return make_transform(merged)
+def _place_writes(settings: NormSettings, updates, env: dict) -> dict:
+    """One place's update sequence, normalized and composed into its final
+    writes: the symbolic form of ``petri_net._run_updates``."""
+    acc = EMPTY_TRANSFORM
+    for var, rhs in updates:
+        acc = compose(acc, make_transform({var: normalize(rhs, env,
+                                                          settings)}),
+                      settings)
+    return dict(acc.entries)
 
 
 def _finish_path(net: PetriNet, env: dict, key, pid: str,
                  settings: NormSettings) -> Path:
+    """Run the path's rounds symbolically as the simulator runs them: each
+    round conjoins its guards, and its newly marked places, in
+    ``_fire_structure``'s order and with the sequence each one runs,
+    commit their writes through ``_commit_blocks``."""
     trans_seq, pre, post, start, last = key
+    maps = net._maps()
+    tm, pm = maps["trans_map"], maps["place_map"]
     guards = []
     transform = EMPTY_TRANSFORM
     for te in trans_seq:
-        guards.append(_round_guard(net, env, te, settings))
-        transform = compose(transform,
-                            _round_transform(net, env, te, settings),
-                            settings)
+        g = BTRUE
+        for t in sorted(te, key=natural_key):
+            g = band(g, normalize(tm[t].guard, env, settings), settings)
+        guards.append(g)
+        _, newly = _fire_structure(maps, frozenset(), te)
+        writes = {}
+        _commit_blocks([(p, partial(_place_writes, settings,
+                                    pm[p].marked_updates(loop)))
+                        for p, loop in newly], env, writes)
+        transform = compose(transform, make_transform(writes), settings)
     return Path(pid, trans_seq, pre, post, guard_seq(guards), transform,
                 start, last, parts=(pid,))
 
@@ -585,17 +576,21 @@ def _parallelizable(paths, cover: PathCover) -> bool:
 # dump
 
 
+def path_to_dict(p: Path) -> dict:
+    """A path's JSON entry, as ``cover_to_json`` writes it; the report's
+    path entries add ``parts`` and ``steps``."""
+    return {
+        "R": guard_seq_to_str(p.guard_seq),
+        "id": p.id,
+        "last_tick": p.last_tick,
+        "post_places": sorted(p.post_places, key=natural_key),
+        "pre_places": sorted(p.pre_places, key=natural_key),
+        "r": transform_to_str(p.transform),
+        "rounds": [sorted(s, key=natural_key) for s in p.trans_seq],
+        "start_tick": p.start_tick,
+    }
+
+
 def cover_to_json(cover: PathCover) -> str:
-    doc = []
-    for p in cover.paths:
-        doc.append({
-            "R": guard_seq_to_str(p.guard_seq),
-            "id": p.id,
-            "last_tick": p.last_tick,
-            "pre_places": sorted(p.pre_places, key=natural_key),
-            "post_places": sorted(p.post_places, key=natural_key),
-            "r": transform_to_str(p.transform),
-            "rounds": [sorted(s, key=natural_key) for s in p.trans_seq],
-            "start_tick": p.start_tick,
-        })
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps([path_to_dict(p) for p in cover.paths], indent=2,
+                      sort_keys=True) + "\n"

@@ -22,10 +22,10 @@ from .sfc_core import (Expr, SfcProgram, TRUE, VarRef, IntLit,
                        BoolLit, Unary, Binary, expr_to_str, negate,
                        QUALIFIER_ORDER)
 from .symbolic import tdiv
-from ._util import natural_key
+from ._util import PlcError, natural_key
 
 
-class EvalError(Exception):
+class EvalError(PlcError):
     pass
 
 
@@ -37,7 +37,7 @@ class NotEnabled(Exception):
     pass
 
 
-class WriteConflict(Exception):
+class WriteConflict(PlcError):
     pass
 
 
@@ -56,6 +56,12 @@ class Place:
     updates: tuple  # full sequence, entry -> active -> exit order
     on_mark: tuple  # runs when the place is marked by an ordinary transition
     on_self_loop: tuple  # runs when the place's own self-loop re-marks it
+
+    def marked_updates(self, self_loop: bool) -> tuple:
+        """The sequence a round that newly marks this place runs:
+        ``on_self_loop`` if its own self-loop re-marked it, else
+        ``on_mark``."""
+        return self.on_self_loop if self_loop else self.on_mark
 
 
 @dataclass(frozen=True)
@@ -123,15 +129,6 @@ class PetriNet:
 
     def post_transitions(self, pid: str) -> frozenset:
         return self._maps()["post_t"].get(pid, frozenset())
-
-    def changed_vars(self) -> frozenset:
-        out = set()
-        for p in self.places:
-            out |= p.vars
-        return frozenset(out)
-
-    def unchanged_vars(self) -> frozenset:
-        return frozenset(v.name for v in self.vars) - self.changed_vars()
 
     def self_loop_of(self, pid: str):
         return self._maps()["self_loops"].get(pid)
@@ -360,10 +357,12 @@ def _run_updates(updates, state: dict) -> dict:
     return mine
 
 
-def _commit_blocks(blocks, before: dict, after: dict) -> None:
+def _commit_blocks(blocks, before, after: dict) -> None:
     """Run each ``(place, block)`` of a round in order against the
     pre-round state ``before`` and commit its final writes into ``after``.
-    Two places writing one variable in a round conflict."""
+    Two places writing one variable in a round conflict. The path builder
+    runs a round symbolically: its ``before`` is the variable kinds, and
+    its blocks return normalized forms."""
     owner = {}
     for pid, block in blocks:
         mine = block(before)
@@ -418,8 +417,8 @@ def successor_marking(net: PetriNet, m: Marking, fired) -> Marking:
                 not eval_expr(tm[tid].guard, m.state):
             raise NotEnabled(f"transition {tid!r} is not enabled")
     marked, newly = _fire_structure(maps, m.marked, fired)
-    blocks = [(p, partial(_run_updates, pm[p].on_self_loop if loop
-                          else pm[p].on_mark)) for p, loop in newly]
+    blocks = [(p, partial(_run_updates, pm[p].marked_updates(loop)))
+              for p, loop in newly]
     state = dict(m.state)
     _commit_blocks(blocks, m.state, state)
     return Marking(marked, state, m.tick + 1)
@@ -541,8 +540,7 @@ class _Plan:
         for pid, self_loop in places:
             block = self.blocks.get((pid, self_loop))
             if block is None:
-                place = self.maps["place_map"][pid]
-                updates = place.on_self_loop if self_loop else place.on_mark
+                updates = self.maps["place_map"][pid].marked_updates(self_loop)
                 block = compile_updates(updates) if updates else False
                 self.blocks[pid, self_loop] = block
             if block:
@@ -600,14 +598,18 @@ def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
     transition is structurally ready but every guard is false, the net
     waiting for inputs ("quiescent"). InvalidModel: structural starvation
     of a live marking, nondeterminism (two enabled transitions sharing a
-    pre-place), 1-safety violations, same-round write conflicts.
+    pre-place), 1-safety violations, same-round write conflicts (the
+    initial marking's included, at tick 0).
 
     Runs on the net's compiled plan, evaluating each ready guard once per
     round; ``enabled_transitions`` and ``successor_marking`` are the
     reference it agrees with.
     """
     plan = _plan(net)
-    m = initial_marking(net, state)
+    try:
+        m = initial_marking(net, state)
+    except WriteConflict as exc:
+        return InvalidModel(str(exc), 0)
     state = before = m.state
     ready = plan.ready(m.marked)
     rounds = []

@@ -15,8 +15,7 @@ import json
 from ._util import natural_key
 from .containment import Verdict, VERDICT_EQUIVALENT, VERDICT_MAY_NOT, \
     VERDICT_N0_IN_N1, VERDICT_N1_IN_N0
-from .path_engine import Path
-from .symbolic import guard_seq_to_str, transform_to_str
+from .path_engine import Path, path_to_dict
 
 SCHEMA_VERSION = 1
 
@@ -28,24 +27,13 @@ _VERDICT_LINES = {
 }
 
 
-def _path_dict(p: Path, net=None) -> dict:
+def _path_dict(p: Path, net) -> dict:
     steps = set(p.pre_places) | set(p.post_places)
-    if net is not None:
-        for te in p.trans_seq:
-            for t in te:
-                steps |= net.post_places(t)
-    return {
-        "R": guard_seq_to_str(p.guard_seq),
-        "id": p.id,
-        "last_tick": p.last_tick,
-        "parts": list(p.parts),
-        "post_places": sorted(p.post_places, key=natural_key),
-        "pre_places": sorted(p.pre_places, key=natural_key),
-        "r": transform_to_str(p.transform),
-        "rounds": [sorted(s, key=natural_key) for s in p.trans_seq],
-        "start_tick": p.start_tick,
-        "steps": sorted(steps, key=natural_key),
-    }
+    for te in p.trans_seq:
+        for t in te:
+            steps |= net.post_places(t)
+    return {**path_to_dict(p), "parts": list(p.parts),
+            "steps": sorted(steps, key=natural_key)}
 
 
 def build_report(verdict: Verdict) -> dict:

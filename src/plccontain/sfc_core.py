@@ -32,11 +32,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._util import PlcError
+
 # ---------------------------------------------------------------------------
 # errors
 
 
-class SfcError(Exception):
+class SfcError(PlcError):
     """Base class for SFC front-end failures."""
 
 

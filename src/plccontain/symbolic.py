@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._util import PlcError
 from .sfc_core import Binary, BoolLit, Expr, IntLit, Unary, VarRef
 
 DEFAULT_BOOL_BOUND = 16
@@ -27,7 +28,7 @@ class KindMismatch(Exception):
     pass
 
 
-class NormalizationOverflow(Exception):
+class NormalizationOverflow(PlcError):
     pass
 
 

@@ -12,6 +12,37 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 PICK_PLACE_FOUT = {"s4": "s4", "s8": "s12", "s10": "s13"}
 SPLIT_FOUT = {"s4": "s4", "s8": "s8", "s10": "s10"}
 
+# Ta and Tb fire in one round and mark s9 and s2, which both write x
+JOIN_CONFLICT = """
+var x : int = 0;
+step s0 { }
+step s1 { }
+step s2 { entry A2 { x := 2; } }
+step s9 { entry A9 { x := 1; } }
+step s5 { }
+trans Ta : s0 -> s9;
+trans Tb : s1 -> s2;
+trans Tc : {s2, s9} -> s5;
+trans Td : s5 -> {s0, s1};
+init {s0, s1};
+"""
+
+# the initially marked s0 and s1 both write x, then a branch on g
+INITIAL_CONFLICT = """
+var g : bool = false;
+var x : int = 0;
+var y : int = 0;
+step s0 { entry A0 { x := 1; } }
+step s1 { entry A1 { x := 2; } }
+step s2 { entry A2 { y := 1; } }
+step s3 { entry A3 { y := 2; } }
+trans T1 : {s0, s1} -> s2 when g;
+trans T2 : {s0, s1} -> s3 when !g;
+trans T3 : s2 -> {s0, s1};
+trans T4 : s3 -> {s0, s1};
+init {s0, s1};
+"""
+
 
 @pytest.fixture(scope="session")
 def pick_place_v0():

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import pytest
+from conftest import INITIAL_CONFLICT, JOIN_CONFLICT
 
 from plccontain import cli
 from plccontain.cli import CheckConfig, main, parse_map_file
@@ -299,3 +300,27 @@ init s0;
     assert rc == 1
     assert _error_lines(capsys.readouterr().err) == [
         "error: 524288 input valuations exceed the oracle's limit of 200000"]
+
+
+def test_round_write_conflict_exit_one(tmp_path, capsys):
+    chart = tmp_path / "join.sfc"
+    chart.write_text(JOIN_CONFLICT)
+    assert main(["check", str(chart), str(chart),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert main(["paths", str(chart)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        "error: places 's2' and 's9' both write 'x'"] * 2
+
+
+def test_mutate_initial_write_conflict(tmp_path, capsys):
+    # every run of the chart is invalid, which the oracle counts as a
+    # difference, so the first type-1 site is certified
+    chart = tmp_path / "init.sfc"
+    chart.write_text(INITIAL_CONFLICT)
+    rc = main(["mutate", str(chart), "--kind", "type1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert len(list((tmp_path / "out").glob("init_type1_s0.sfc"))) == 1

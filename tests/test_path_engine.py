@@ -1,14 +1,18 @@
 import json
+import random
 
 import pytest
+from conftest import JOIN_CONFLICT
 
 from plccontain import symbolic as sy
+from plccontain.benchmarks import CLASSES, gen_bench
 from plccontain.path_engine import (NotComposable, NotMergeable, concatenate,
                                     cover_to_json, cycle_places, merge,
                                     path_constructor, static_cut_points)
-from plccontain.petri_net import (Place, PnTransition, PetriNet,
-                                  initial_marking, simulate,
-                                  successor_marking)
+from plccontain.petri_net import (InvalidModel, Marking, Place,
+                                  PnTransition, PetriNet, WriteConflict,
+                                  enabled_transitions, initial_marking,
+                                  simulate, successor_marking)
 from plccontain.sfc_core import TRUE, Binary, IntLit, VarRef, parse_sfc
 from plccontain.petri_net import translate
 
@@ -296,34 +300,56 @@ def test_trace_decomposition(nets, counter_net, covers):
 # replay consistency
 
 
-def test_replay_reproduces_transform(covers, nets):
-    import random
+def test_round_write_conflict_matches_simulate():
+    # the path builder and the simulator name the places in one order
+    net = translate(parse_sfc(JOIN_CONFLICT))
+    invalid = simulate(net)
+    assert isinstance(invalid, InvalidModel) and invalid.tick == 0
+    with pytest.raises(WriteConflict) as exc:
+        path_constructor(net)
+    assert str(exc.value) == invalid.reason
 
-    n0, _ = nets
-    c0, _ = covers
+
+def _replayed_paths(net, cover) -> int:
+    """Replay each path of `cover` concretely through `successor_marking`
+    from the first of 40 seeded random states that enables all of its
+    rounds, and check every variable against `eval_norm` of the path's
+    transform. Returns how many paths were replayed."""
     rng = random.Random(5)
     checked = 0
-    for path in c0.paths:
+    for path in cover.paths:
         for _ in range(40):
             state = {v.name: (rng.randint(0, 3) if v.kind == "int"
-                              else rng.random() < 0.5) for v in n0.vars}
-            from plccontain.petri_net import Marking, enabled_transitions
-
+                              else rng.random() < 0.5) for v in net.vars}
             m = Marking(path.pre_places, dict(state), 0)
             feasible = True
             for te in path.trans_seq:
-                if not te <= enabled_transitions(n0, m):
+                if not te <= enabled_transitions(net, m):
                     feasible = False
                     break
-                m = successor_marking(n0, m, te)
+                m = successor_marking(net, m, te)
             if not feasible:
                 continue
             checked += 1
-            for var in path.transform.targets():
-                expect = sy.eval_norm(path.transform.get(var), state)
-                assert m.state[var] == expect, (path.id, var)
+            for v in net.vars:
+                rhs = path.transform.get(v.name)
+                expect = state[v.name] if rhs is None \
+                    else sy.eval_norm(rhs, state)
+                assert m.state[v.name] == expect, (path.id, v.name)
             break
-    assert checked >= 5
+    return checked
+
+
+def test_replay_reproduces_transform(covers, nets):
+    charts = list(zip(nets, covers))
+    for cls in CLASSES:
+        for seed in range(3):
+            for prog in gen_bench(cls, seed, certify=False):
+                net = translate(prog)
+                charts.append((net, path_constructor(net)))
+    for net, cover in charts:
+        # a path may need a state the random draws miss, but few do
+        assert _replayed_paths(net, cover) >= len(cover.paths) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import weakref
 
 import pytest
+from conftest import INITIAL_CONFLICT
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -436,6 +437,14 @@ def test_simulate_nondeterministic_marking():
     net = _mini_net(arcs={"ta": (["p0"], ["p1"]), "tb": (["p0"], ["p2"])},
                     places=("p0", "p1", "p2"))
     assert simulate(net) == InvalidModel("nondeterministic marking", 0)
+
+
+def test_simulate_initial_write_conflict():
+    net = translate(parse_sfc(INITIAL_CONFLICT))
+    with pytest.raises(WriteConflict):
+        initial_marking(net)
+    assert simulate(net) == \
+        InvalidModel("places 's0' and 's1' both write 'x'", 0)
 
 
 def _desk_nets(nets, counter_net):
