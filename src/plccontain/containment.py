@@ -116,38 +116,27 @@ class CompareResult:
 
 def _propose_eta_v(alpha: Path, beta: Path, corr: Correspondences,
                    settings: NormSettings) -> tuple:
-    """Pair model-exclusive variables whose transform entries line up, the
-    first time they are encountered: the upgrade's names first, then the
-    original's."""
+    """Pair each upgrade-exclusive target of beta, the first time it is
+    encountered, with an original-exclusive target of alpha whose transform
+    entry lines up under the renaming. A variable that both models declare
+    is never renamed."""
     pairs = list(corr.eta_v)
-    taken = (set(corr.paired_v0()), set(corr.paired_v1()))
-    names = (corr.v0_vars, corr.v1_vars)
-    paths = (alpha, beta)
-    common = corr.common
-    for side in (1, 0):
-        other = 1 - side
-        fresh = [v for v in sorted(paths[side].transform.targets())
-                 if v in names[side] - names[other]
-                 and v not in taken[side]]
-        for v in fresh:
-            for cand in sorted(paths[other].transform.targets()):
-                if cand not in names[other] or cand in taken[other]:
-                    continue
-                pair = (cand, v) if side else (v, cand)
-                trial = pairs + [pair]
-                ra = drop_uncommon_transform(alpha.transform, common, trial,
-                                             settings)
-                rb = drop_uncommon_transform(beta.transform, common, trial,
-                                             settings)
-                key = pair[0]
-                if ra.consistent and rb.consistent and \
-                        ra.get(key) is not None and \
-                        ra.get(key) == rb.get(key):
-                    pairs.append(pair)
-                    taken[0].add(pair[0])
-                    taken[1].add(pair[1])
-                    break
-    return tuple(p for p in pairs if p not in corr.eta_v)
+    taken0 = set(corr.paired_v0())
+    only0 = corr.v0_vars - corr.v1_vars
+    only1 = corr.v1_vars - corr.v0_vars
+    for v in sorted(beta.transform.targets() & only1 - corr.paired_v1()):
+        for cand in sorted(alpha.transform.targets() & only0 - taken0):
+            trial = pairs + [(cand, v)]
+            ra = drop_uncommon_transform(alpha.transform, corr.common, trial,
+                                         settings)
+            rb = drop_uncommon_transform(beta.transform, corr.common, trial,
+                                         settings)
+            if ra.consistent and rb.consistent and \
+                    ra.get(cand) is not None and ra.get(cand) == rb.get(cand):
+                pairs.append((cand, v))
+                taken0.add(cand)
+                break
+    return tuple(pairs[len(corr.eta_v):])
 
 
 def _compare_with(alpha: Path, beta: Path, corr: Correspondences,
@@ -386,7 +375,12 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
                         cover1: PathCover = None,
                         eta_v_hints=()) -> Verdict:
     """Run the matching loop over both path covers and map the unmatched
-    sets to one of the four verdicts."""
+    sets to one of the four verdicts.
+
+    The loop ends: every move removes a path from the pools or adds an
+    extension whose key was never seen, and an extension only appends
+    paths that start one tick after it ends, so the cover's tick stamps
+    bound how far it can grow and how many keys there are."""
     if f_in is None or f_out is None:
         auto_in, auto_out = default_correspondences(n0, n1)
         f_in = f_in or auto_in
@@ -473,8 +467,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
             _bind_posts(alpha, beta, corr, n0, n1)
             pi1.remove(beta)
 
-    max_passes = (len(pi0) + len(pi1) + 4) ** 2
-    for _ in range(max_passes):
+    while True:
         progress = False
         stuck = None  # the first alpha with candidates, and their results
         for alpha in sorted(pi0, key=_by_id):

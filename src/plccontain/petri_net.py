@@ -115,9 +115,6 @@ class PetriNet:
     def place_map(self) -> dict:
         return self._maps()["place_map"]
 
-    def transition_map(self) -> dict:
-        return self._maps()["trans_map"]
-
     def var_env(self) -> dict:
         return {v.name: v.kind for v in self.vars}
 
@@ -129,9 +126,6 @@ class PetriNet:
 
     def post_transitions(self, pid: str) -> frozenset:
         return self._maps()["post_t"].get(pid, frozenset())
-
-    def self_loop_of(self, pid: str):
-        return self._maps()["self_loops"].get(pid)
 
     def synchronizing_ids(self) -> frozenset:
         return self._maps()["sync"]

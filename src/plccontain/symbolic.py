@@ -350,29 +350,20 @@ BTRUE = BoolNorm((), frozenset([0]))
 BFALSE = BoolNorm((), frozenset())
 
 
-def _rows_canonical(atoms: tuple, rows: frozenset) -> BoolNorm:
-    """Drop inessential atoms, then constant-fold."""
+def _rows_canonical(atoms: tuple, rows) -> BoolNorm:
+    """Drop inessential atoms, which also folds constants. Whether an atom
+    is essential depends only on the function, so one pass from the top
+    bit down finds them all, and a drop never renumbers a bit to come."""
     atoms = list(atoms)
-    rows = set(rows)
-    changed = True
-    while changed and atoms:
-        changed = False
-        for i in range(len(atoms)):
-            bit = 1 << i
-            lo = {r for r in rows if not r & bit}
-            hi = {r & ~bit for r in rows if r & bit}
-            if lo == hi:
-                # atom i never affects the outcome; project it away
-                rows = {_drop_bit(r, i) for r in rows}
-                del atoms[i]
-                changed = True
-                break
+    for i in reversed(range(len(atoms))):
+        bit = 1 << i
+        lo = {r for r in rows if not r & bit}
+        if lo == {r & ~bit for r in rows if r & bit}:
+            # atom i never affects the outcome; project it away
+            rows = {_drop_bit(r, i) for r in lo}
+            del atoms[i]
     if not atoms:
         return BTRUE if rows else BFALSE
-    if len(rows) == (1 << len(atoms)):
-        return BTRUE
-    if not rows:
-        return BFALSE
     return BoolNorm(tuple(atoms), frozenset(rows))
 
 
@@ -390,31 +381,28 @@ def _from_atom(atom) -> BoolNorm:
     return BoolNorm((atom,), frozenset([1]))
 
 
-def _eval_rows(bn: BoolNorm, assign: dict) -> bool:
-    mask = 0
-    for i, a in enumerate(bn.atoms):
-        if assign[a]:
-            mask |= 1 << i
-    return mask in bn.rows
-
-
-def bool_atoms(bn: BoolNorm) -> frozenset:
-    return frozenset(bn.atoms)
-
-
-def _combine(op, a: BoolNorm, b: BoolNorm,
-             settings: NormSettings = DEFAULT_SETTINGS) -> BoolNorm:
-    union = sorted(bool_atoms(a) | bool_atoms(b), key=_batom_key)
+def _combine(op, parts, settings: NormSettings = DEFAULT_SETTINGS
+             ) -> BoolNorm:
+    """The form of ``op`` over ``parts``: every assignment to the union of
+    their atoms is enumerated once, and ``op`` maps the list of the parts'
+    truth values under it to one."""
+    union = sorted(frozenset().union(*(p.atoms for p in parts)),
+                   key=_batom_key)
     if len(union) > settings.bool_bound:
         raise NormalizationOverflow(
             f"{len(union)} boolean atoms exceed bound "
             f"{settings.bool_bound} (--bool-bound raises it)")
+    index = {atom: i for i, atom in enumerate(union)}
+    # each part's atoms as (bit in the union's mask, bit in its own rows)
+    bits = [[(1 << index[a], 1 << j) for j, a in enumerate(p.atoms)]
+            for p in parts]
     rows = set()
     for mask in range(1 << len(union)):
-        assign = {atom: bool(mask & (1 << i)) for i, atom in enumerate(union)}
-        if op(_eval_rows(a, assign), _eval_rows(b, assign)):
+        values = [sum(own for u, own in part_bits if mask & u) in p.rows
+                  for p, part_bits in zip(parts, bits)]
+        if op(values):
             rows.add(mask)
-    return _rows_canonical(tuple(union), frozenset(rows))
+    return _rows_canonical(tuple(union), rows)
 
 
 def band(a: BoolNorm, b: BoolNorm,
@@ -425,7 +413,7 @@ def band(a: BoolNorm, b: BoolNorm,
         return b
     if b == BTRUE:
         return a
-    return _combine(lambda x, y: x and y, a, b, settings)
+    return _combine(all, (a, b), settings)
 
 
 def bor(a: BoolNorm, b: BoolNorm,
@@ -436,12 +424,12 @@ def bor(a: BoolNorm, b: BoolNorm,
         return b
     if b == BFALSE:
         return a
-    return _combine(lambda x, y: x or y, a, b, settings)
+    return _combine(any, (a, b), settings)
 
 
 def bnot(a: BoolNorm) -> BoolNorm:
-    full = set(range(1 << len(a.atoms)))
-    return _rows_canonical(a.atoms, frozenset(full - set(a.rows)))
+    return _rows_canonical(a.atoms,
+                           frozenset(range(1 << len(a.atoms))) - a.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -531,30 +519,21 @@ def bool_substitute(bn: BoolNorm, mapping: dict,
         made = mk_lez(poly) if isinstance(atom, Lez) else mk_eqz(poly)
         return _from_atom(made)
 
-    acc = BFALSE
-    for mask in sorted(bn.rows):
-        term = BTRUE
-        for i, atom in enumerate(bn.atoms):
-            sa = sub_atom(atom)
-            term = band(term, sa if mask & (1 << i) else bnot(sa), settings)
-            if term == BFALSE:
-                break
-        acc = bor(acc, term, settings)
-    return acc
+    def holds(values) -> bool:
+        return sum(1 << i for i, v in enumerate(values) if v) in bn.rows
+
+    return _combine(holds, [sub_atom(a) for a in bn.atoms], settings)
 
 
 def bool_project(bn: BoolNorm, names: frozenset) -> BoolNorm:
     """Existentially eliminate every atom whose variables meet ``names``."""
     atoms = list(bn.atoms)
-    rows = set(bn.rows)
-    i = 0
-    while i < len(atoms):
+    rows = bn.rows
+    for i in reversed(range(len(atoms))):
         if batom_vars(atoms[i]) & names:
             rows = {_drop_bit(r, i) for r in rows}
             del atoms[i]
-        else:
-            i += 1
-    return _rows_canonical(tuple(atoms), frozenset(rows))
+    return _rows_canonical(tuple(atoms), rows)
 
 
 def bool_to_str(bn: BoolNorm) -> str:
@@ -646,18 +625,13 @@ def effective_len(seq: GuardSeq) -> int:
 
 
 def guard_seq_equiv(a: GuardSeq, b: GuardSeq) -> bool:
-    ca, cb = collapse(a), collapse(b)
-    if len(ca) != len(cb):
-        return False
-    return all(expr_equiv(x, y) for x, y in zip(ca, cb))
+    return collapse(a) == collapse(b)
 
 
 def guard_seq_subsumes(a: GuardSeq, b: GuardSeq) -> bool:
     """Prefix subsumption: a needs extension to possibly equal b."""
-    ca, cb = collapse(a), collapse(b)
-    if len(ca) > len(cb):
-        return False
-    return all(expr_equiv(x, y) for x, y in zip(ca, cb[:len(ca)]))
+    ca = collapse(a)
+    return ca == collapse(b)[:len(ca)]
 
 
 def guard_seq_to_str(seq: GuardSeq) -> str:

@@ -162,7 +162,6 @@ MUTATION_PLAN = [  # fault type -> benchmark classes, per the fault model
 MUTANTS_PER_COMBO = 8
 
 
-@pytest.mark.slow
 def test_criterion_5_mutation_kill():
     start = time.time()
     killed = 0

@@ -74,12 +74,11 @@ def test_translate_active_block_self_loop():
     net = translate(prog)
     # one extra transition: the self-loop sub-net
     assert len(net.transitions) == len(prog.transitions) + 1
-    uid = net.self_loop_of("loop")
-    assert uid == "loop__u"
-    guard = net.transition_map()[uid].guard
+    loop_u = next(t for t in net.transitions if t.id == "loop__u")
     # negation of the exit guard with the double negation unwrapped
-    assert guard == Binary("<", VarRef("I"), VarRef("Fixer"))
-    assert net.pre_places(uid) == net.post_places(uid) == frozenset(["loop"])
+    assert loop_u.guard == Binary("<", VarRef("I"), VarRef("Fixer"))
+    assert net.pre_places(loop_u.id) == net.post_places(loop_u.id) \
+        == frozenset(["loop"])
     # semantics: the loop body runs once per self-loop firing
     tr = simulate(net)
     assert isinstance(tr, Trace) and tr.stopped == "sync"

@@ -307,6 +307,49 @@ def test_compose_associative():
 
 
 # ---------------------------------------------------------------------------
+# substitution
+
+
+def _binary(ops, sub):
+    return st.tuples(st.sampled_from(ops), sub, sub).map(lambda t: Binary(*t))
+
+
+_polys = st.recursive(
+    st.one_of(st.integers(-3, 3).map(IntLit),
+              st.sampled_from(["x", "y"]).map(VarRef)),
+    lambda sub: _binary(["+", "-", "*"], sub), max_leaves=4)
+
+_guards = st.recursive(
+    st.one_of(st.sampled_from(["p", "q", "r"]).map(VarRef),
+              _binary(["<", "<=", ">", ">=", "=", "!="], _polys)),
+    lambda sub: st.one_of(_binary(["&&", "||"], sub),
+                          sub.map(lambda e: Unary("!", e))),
+    max_leaves=4)
+
+_states = st.fixed_dictionaries({
+    "x": st.integers(-4, 4), "y": st.integers(-4, 4),
+    "p": st.booleans(), "q": st.booleans(), "r": st.booleans()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_guards,
+       st.dictionaries(st.sampled_from(["p", "q", "r"]), _guards),
+       st.dictionaries(st.sampled_from(["x", "y"]), _polys),
+       _states)
+def test_bool_substitute_evaluates_like_the_substituted_state(
+        e, bool_repl, int_repl, state):
+    """Substituting into a form and evaluating at s agrees with evaluating
+    the form at s', where each substituted name holds its replacement's
+    value at s."""
+    bn = norm(e)
+    mapping = {n: norm(r) for n, r in {**bool_repl, **int_repl}.items()}
+    out = sy.bool_substitute(bn, mapping)
+    primed = dict(state)
+    primed.update((n, sy.eval_norm(r, state)) for n, r in mapping.items())
+    assert sy.eval_bool(out, state) == sy.eval_bool(bn, primed)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
