@@ -3,14 +3,15 @@ extension, path merging, correspondence bookkeeping, verdicts.
 
 Two paths are equivalent when their source places correspond, their
 execution conditions and data transformations agree after uncommon
-variables are removed (with eta_v renaming), and they consume the same
-number of effective ticks. The matching loop compares each unmatched N0
-path with its candidates and tries four moves in this order: *match* an
-equivalent candidate; *merge* parallel candidates spawned together when
-places, transforms or ticks differ; *extend* the side whose conditions
-are a prefix of the other's through its post-paths; and, only once a
-whole pass moved nothing, *resolve* one non-equivalent pair into the
-unmatched sets.
+variables are removed (with eta_v renaming). Agreeing conditions are
+equal sequences of non-trivial guard rounds, so the two paths also
+consume the same number of effective ticks. The matching loop compares
+each unmatched N0 path with its candidates and tries four moves in this
+order: *match* an equivalent candidate; *merge* parallel candidates
+spawned together when places or transforms differ; *extend* the side
+whose conditions are a prefix of the other's through its post-paths;
+and, only once a whole pass moved nothing, *resolve* one non-equivalent
+pair into the unmatched sets.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def validate_bijections(n0: PetriNet, n1: PetriNet, f_in: dict,
 
 CLAUSE_CONDITION = "condition mismatch"
 CLAUSE_TRANSFORM = "transform mismatch"
-CLAUSE_TICK = "tick mismatch"
 CLAUSE_PLACES = "place mismatch"
 CLAUSE_NO_CANDIDATE = "no candidate"
 
@@ -167,8 +167,6 @@ def _compare_with(alpha: Path, beta: Path, corr: Correspondences,
         res.clause = CLAUSE_CONDITION
     elif not transforms_equal(r_a, r_b):
         res.clause = CLAUSE_TRANSFORM
-    elif effective_len(seq_a) != effective_len(seq_b):
-        res.clause = CLAUSE_TICK
     else:
         res.ok = True
     return res
@@ -194,8 +192,8 @@ def path_equiv(alpha: Path, beta: Path, corr: Correspondences,
                n0: PetriNet, n1: PetriNet,
                settings: NormSettings = DEFAULT_SETTINGS) -> bool:
     """Path equivalence under the current correspondences: sources
-    correspond, conditions and transformations agree after uncommon
-    variables are removed, effective tick counts match."""
+    correspond, conditions (and so effective tick counts) and
+    transformations agree after uncommon variables are removed."""
     return compare_paths(alpha, beta, corr, n0, n1, settings).ok
 
 
@@ -424,7 +422,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         return False
 
     def merge(alpha, results) -> bool:
-        if not any(r.clause in (CLAUSE_PLACES, CLAUSE_TRANSFORM, CLAUSE_TICK)
+        if not any(r.clause in (CLAUSE_PLACES, CLAUSE_TRANSFORM)
                    for _, r in results):
             return False
         for merged in prepare_for_merging([b for b, _ in results], cover1,
@@ -455,8 +453,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         # downstream paths remain comparable (fault locality)
         beta, res = next(
             ((b, r) for b, r in results
-             if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM,
-                             CLAUSE_TICK)),
+             if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM)),
             results[0])
         for oid in alpha.parts:
             failures0.setdefault(oid, res.clause)

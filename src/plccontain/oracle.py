@@ -74,10 +74,9 @@ def run_outcome(net: PetriNet, valuation: dict, common):
     return Outcome(ports, filtered, "sync")
 
 
-def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
-                        window=DEFAULT_WINDOW):
-    """True when every out-port run of n0 has a matching n1 run under some
-    valuation of n1's extra inputs; returns (ok, counterexample)."""
+def _contained(n0: PetriNet, n1: PetriNet, f_out: dict, window, outcome):
+    """The containment loop of ``confirm_containment``, with each run's
+    outcome taken from ``outcome(net, valuation, common)``."""
     common = frozenset(v.name for v in n0.vars) & \
         frozenset(v.name for v in n1.vars)
     ins0 = input_vars(n0)
@@ -85,7 +84,7 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
     extra1 = tuple(n for n in input_vars(n1) if n not in ins0_set)
     names1 = {x.name for x in n1.vars}
     for v in _valuations(n0, ins0, window):
-        out0 = run_outcome(n0, v, common)
+        out0 = outcome(n0, v, common)
         if isinstance(out0, InvalidModel):
             return False, {"n0_invalid": out0.reason, "inputs": v}
         if out0.stopped != "sync":
@@ -94,7 +93,7 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
         base1 = {k: val for k, val in v.items() if k in names1}
         matched = False
         for w in _valuations(n1, extra1, window):
-            out1 = run_outcome(n1, {**base1, **w}, common)
+            out1 = outcome(n1, {**base1, **w}, common)
             if isinstance(out1, InvalidModel):
                 continue
             if out1.stopped == "sync" and out1.out_ports == want_ports \
@@ -107,21 +106,45 @@ def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
     return True, None
 
 
+def confirm_containment(n0: PetriNet, n1: PetriNet, f_out: dict,
+                        window=DEFAULT_WINDOW):
+    """True when every out-port run of n0 has a matching n1 run under some
+    valuation of n1's extra inputs; returns (ok, counterexample)."""
+    return _contained(n0, n1, f_out, window, run_outcome)
+
+
 def confirm_equivalent(n0: PetriNet, n1: PetriNet, f_out: dict,
                        window=DEFAULT_WINDOW):
-    """Single-pass equivalence check for pairs sharing the same inputs:
-    every valuation must produce matching outcomes in both nets."""
+    """Equivalence as containment both ways; returns (ok, counterexample).
+
+    Pairs with the same inputs take a single pass: every valuation must
+    produce matching outcomes in both nets. Otherwise the result is that
+    of ``confirm_containment`` in each direction, N0 into N1 first, but
+    the two directions share their runs: each (net, valuation) is
+    simulated once per call, and the second direction mostly looks up
+    outcomes the first recorded. The key is the whole valuation, every
+    name it sets, not just the net's inputs: a valuation can also set a
+    variable that this net declares and writes, and so start it from a
+    different state."""
     common = frozenset(v.name for v in n0.vars) & \
         frozenset(v.name for v in n1.vars)
     ins0 = set(input_vars(n0))
     ins1 = set(input_vars(n1))
     if ins0 != ins1:
-        ok, ce = confirm_containment(n0, n1, f_out, window)
+        runs = {}
+
+        def shared(net, valuation, common):
+            key = (id(net), tuple(sorted(valuation.items())))
+            out = runs.get(key)
+            if out is None:
+                out = runs[key] = run_outcome(net, valuation, common)
+            return out
+
+        ok, ce = _contained(n0, n1, f_out, window, shared)
         if not ok:
             return ok, ce
-        return confirm_containment(n1, n0,
-                                   {v: k for k, v in f_out.items()},
-                                   window)
+        return _contained(n1, n0, {v: k for k, v in f_out.items()}, window,
+                          shared)
     names1 = {v.name for v in n1.vars}
     for v in _valuations(n0, sorted(ins0, key=natural_key), window):
         out0 = run_outcome(n0, v, common)

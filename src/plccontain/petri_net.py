@@ -462,7 +462,7 @@ def _maximal_disjoint_sets(candidates, footprint: dict) -> frozenset:
 DEFAULT_FUEL = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRound:
     tick: int
     fired: frozenset

@@ -619,8 +619,8 @@ def collapse(seq: GuardSeq) -> GuardSeq:
 
 
 def effective_len(seq: GuardSeq) -> int:
-    """Number of non-trivial guard rounds; the tick measure used by
-    path equivalence."""
+    """Number of non-trivial guard rounds; the tick measure that picks
+    the shorter path to extend."""
     return len(collapse(seq))
 
 

@@ -54,8 +54,8 @@ def test_text_mutant_has_both_sections(pick_place_v0, nets):
     assert "== unmatched paths of N0 ==" in txt
     assert "== unmatched paths of N1 ==" in txt
     clauses = {d["clause"] for d in rep["unmatched_n0_detail"]}
-    allowed = {"condition mismatch", "transform mismatch", "tick mismatch",
-               "place mismatch", "no candidate"}
+    allowed = {"condition mismatch", "transform mismatch", "place mismatch",
+               "no candidate"}
     assert clauses <= allowed
 
 
