@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
-from ._util import PlcError, natural_key
+from ._util import PlcError
+from .containment import ConfigError, default_correspondences
 from .oracle import DEFAULT_WINDOW, confirm_equivalent
 from .petri_net import translate
 from .sfc_core import (ActionBlock, Binary, BoolLit, Expr, IntLit,
                        SfcProgram, SfcTransition, Step, TRUE, Unary, VarDecl,
-                       VarRef, validate_sfc)
+                       VarRef, expr_vars, validate_sfc)
 
 CLASSES = ("basic", "simple", "medium", "complex")
 GEN_RETRIES = 8  # shapes drawn per seed before generation gives up
@@ -98,11 +100,17 @@ class Shape:
 # rendering a shape into an SfcProgram
 
 
+def _inc(counter: str):
+    return (counter, Binary("+", VarRef(counter), IntLit(1)))
+
+
 class _Builder:
+    """Steps and transitions are numbered separately, each in creation
+    order."""
+
     def __init__(self):
         self.steps = []
         self.transitions = []
-        self._tr = 0
 
     def step(self, assigns=()) -> str:
         sid = f"s{len(self.steps)}"
@@ -113,127 +121,92 @@ class _Builder:
         self.steps.append(Step(sid, blocks))
         return sid
 
-    def trans(self, sources, targets, guard=TRUE) -> str:
-        self._tr += 1
-        tid = f"Tr{self._tr}"
+    def trans(self, sources, targets, guard=TRUE) -> None:
         if isinstance(sources, str):
             sources = [sources]
         if isinstance(targets, str):
             targets = [targets]
-        self.transitions.append(SfcTransition(tid, frozenset(sources),
-                                              frozenset(targets), guard))
-        return tid
+        self.transitions.append(SfcTransition(
+            f"Tr{len(self.transitions) + 1}", frozenset(sources),
+            frozenset(targets), guard))
+
+    def then(self, prev, assigns=(), guard=TRUE) -> str:
+        """A new step entered from ``prev`` when ``guard`` holds."""
+        sid = self.step(assigns)
+        self.trans(prev, sid, guard)
+        return sid
+
+    def loop(self, head: str, counter: str, bound: int, body) -> Expr:
+        """The body of a counted loop at ``head``: ``body`` then
+        ``counter := counter + 1``, entered while ``counter < bound`` and
+        back to ``head``; returns the exit guard."""
+        enter = Binary("<", VarRef(counter), IntLit(bound))
+        self.trans(self.then(head, list(body) + [_inc(counter)], enter), head)
+        return Unary("!", enter)
 
 
 def render(shape: Shape) -> SfcProgram:
     b = _Builder()
     start = b.step()  # idle step, waits for the start input
-    prev = b.step([("cycle", BoolLit(True))])
-    b.trans(start, prev, VarRef("start"))
+    prev = b.then(start, [("cycle", BoolLit(True))], VarRef("start"))
 
     for seg in shape.segments:
         if isinstance(seg, Straight):
-            nxt = b.step(seg.assigns)
-            b.trans(prev, nxt)
-            prev = nxt
+            prev = b.then(prev, seg.assigns)
         elif isinstance(seg, BranchSeg):
-            fork = b.step(seg.pre)
-            b.trans(prev, fork)
+            fork = b.then(prev, seg.pre)
             join = b.step()
             if seg.nested_guard is None:
-                arm_a = b.step(seg.arm_a)
-                b.trans(fork, arm_a, seg.guard)
-                b.trans(arm_a, join)
+                arms = [(fork, seg.guard, seg.arm_a)]
             else:
-                sub = b.step()
-                b.trans(fork, sub, seg.guard)
-                arm_a = b.step(seg.arm_a)
-                arm_a2 = b.step(seg.arm_a2)
-                b.trans(sub, arm_a, seg.nested_guard)
-                b.trans(sub, arm_a2, Unary("!", seg.nested_guard))
-                b.trans(arm_a, join)
-                b.trans(arm_a2, join)
-            arm_b = b.step(seg.arm_b)
-            b.trans(fork, arm_b, Unary("!", seg.guard))
-            b.trans(arm_b, join)
+                sub = b.then(fork, (), seg.guard)
+                arms = [(sub, seg.nested_guard, seg.arm_a),
+                        (sub, Unary("!", seg.nested_guard), seg.arm_a2)]
+            # every arm's entry, then every arm's exit to the join
+            for end in [b.then(src, body, g) for src, g, body in arms]:
+                b.trans(end, join)
+            b.trans(b.then(fork, seg.arm_b, Unary("!", seg.guard)), join)
             prev = join
         elif isinstance(seg, LoopSeg):
-            c = seg.counter
-            enter = Binary("<", VarRef(c), IntLit(seg.bound))
-            if not seg.parallel:
-                init = b.step([(c, IntLit(0))])
-                b.trans(prev, init)
-                head = b.step()
-                b.trans(init, head)
-                body = b.step(list(seg.group_a) + list(seg.group_b)
-                              + [(c, Binary("+", VarRef(c), IntLit(1)))])
-                b.trans(head, body, enter)
-                b.trans(body, head)
-                after = b.step()
-                b.trans(head, after, Unary("!", enter))
-                prev = after
+            # a parallelized loop runs its two groups as two threads
+            if seg.parallel:
+                threads = [(seg.counter, seg.group_a),
+                           (seg.parallel, seg.group_b)]
             else:
-                c2 = seg.parallel
-                enter2 = Binary("<", VarRef(c2), IntLit(seg.bound))
-                init = b.step([(c, IntLit(0)), (c2, IntLit(0))])
-                b.trans(prev, init)
-                head_a = b.step()
-                head_b = b.step()
-                b.trans(init, [head_a, head_b])
-                body_a = b.step(list(seg.group_a)
-                                + [(c, Binary("+", VarRef(c), IntLit(1)))])
-                body_b = b.step(list(seg.group_b)
-                                + [(c2, Binary("+", VarRef(c2), IntLit(1)))])
-                b.trans(head_a, body_a, enter)
-                b.trans(body_a, head_a)
-                b.trans(head_b, body_b, enter2)
-                b.trans(body_b, head_b)
-                after = b.step()
-                b.trans([head_a, head_b], after,
-                        Binary("&&", Unary("!", enter), Unary("!", enter2)))
-                prev = after
+                threads = [(seg.counter, seg.group_a + seg.group_b)]
+            init = b.then(prev, [(c, IntLit(0)) for c, _ in threads])
+            heads = [b.step() for _ in threads]
+            b.trans(init, heads)
+            exits = [b.loop(head, c, seg.bound, body)
+                     for head, (c, body) in zip(heads, threads)]
+            prev = b.then(heads, (), reduce(
+                lambda x, y: Binary("&&", x, y), exits))
         elif isinstance(seg, RefineSeg):
-            gate = b.step()
-            b.trans(prev, gate)
+            gate = b.then(prev)
             join = b.step()
             b.trans(gate, join, VarRef(seg.guard_var))
-            detour = b.step([(seg.flag_var, BoolLit(True))])
-            b.trans(gate, detour, Unary("!", VarRef(seg.guard_var)))
+            detour = b.then(gate, [(seg.flag_var, BoolLit(True))],
+                            Unary("!", VarRef(seg.guard_var)))
             b.trans(detour, join)
             prev = join
         elif isinstance(seg, NestedLoopSeg):
             co, ci = seg.outer_counter, seg.inner_counter
             outer_enter = Binary("<", VarRef(co), IntLit(seg.outer_bound))
-            inner_enter = Binary("<", VarRef(ci), IntLit(seg.inner_bound))
-            init = b.step([(co, IntLit(0))])
-            b.trans(prev, init)
-            outer_head = b.step()
-            b.trans(init, outer_head)
-            inner_init = b.step([(ci, IntLit(0))])
-            b.trans(outer_head, inner_init, outer_enter)
-            inner_head = b.step()
-            b.trans(inner_init, inner_head)
-            inner_body = b.step(list(seg.inner_body)
-                                + [(ci, Binary("+", VarRef(ci), IntLit(1)))])
-            b.trans(inner_head, inner_body, inner_enter)
-            b.trans(inner_body, inner_head)
-            tail = b.step(list(seg.outer_tail)
-                          + [(co, Binary("+", VarRef(co), IntLit(1)))])
-            b.trans(inner_head, tail, Unary("!", inner_enter))
+            outer_head = b.then(b.then(prev, [(co, IntLit(0))]))
+            inner_head = b.then(b.then(outer_head, [(ci, IntLit(0))],
+                                       outer_enter))
+            inner_exit = b.loop(inner_head, ci, seg.inner_bound,
+                                seg.inner_body)
+            tail = b.then(inner_head, list(seg.outer_tail) + [_inc(co)],
+                          inner_exit)
             b.trans(tail, outer_head)
-            after = b.step()
-            b.trans(outer_head, after, Unary("!", outer_enter))
-            prev = after
+            prev = b.then(outer_head, (), Unary("!", outer_enter))
         else:
             raise TypeError(f"unknown segment {seg!r}")
 
     if shape.aux_writes:
-        aux = b.step(list(shape.aux_writes))
-        b.trans(prev, aux)
-        prev = aux
-    end = b.step()
-    b.trans(prev, end)
-    b.trans(end, "s0")  # synchronizing transition back to the idle step
+        prev = b.then(prev, shape.aux_writes)
+    b.trans(b.then(prev), "s0")  # synchronizing transition back to idle
     return SfcProgram(tuple(shape.vars), tuple(b.steps),
                       tuple(b.transitions), frozenset(["s0"]))
 
@@ -307,8 +280,6 @@ class _Pool:
         return (target, VarRef(src))
 
     def assigns(self, n: int, among=None) -> list:
-        from .sfc_core import expr_vars
-
         out = []
         for _ in range(n):
             if among is None and self.bools and self.rng.random() < 0.25:
@@ -335,91 +306,63 @@ class _Pool:
                           IntLit(rng.randint(0, 2)))
         return VarRef(rng.choice(self.bools))
 
+    # segments, each drawing its material in field order
+
+    def straight(self, n: int, split: bool = False) -> Straight:
+        return Straight(self.assigns(n), split)
+
+    def branch(self, pre: int, a: int, b: int, a2: int = 0) -> BranchSeg:
+        """A branch; with ``a2`` set, arm A branches again."""
+        seg = BranchSeg(self.guard(), self.assigns(pre), self.assigns(a),
+                        self.assigns(b))
+        if a2:
+            seg.nested_guard = self.guard()
+            seg.arm_a2 = self.assigns(a2)
+        return seg
+
+    def loop(self, per_group: int) -> LoopSeg:
+        """A loop whose two groups write disjoint halves of the ints."""
+        half = max(1, len(self.ints) // 2)
+        ints_a, ints_b = self.ints[:half], self.ints[half:]
+        return LoopSeg(self.counter(), self.rng.randint(1, 3),
+                       self.assigns(per_group, among=ints_a),
+                       self.assigns(per_group, among=ints_b or ints_a))
+
+    def nested_loop(self, inner: int, tail: int) -> NestedLoopSeg:
+        return NestedLoopSeg(self.counter(), self.rng.randint(1, 2),
+                             self.counter(), self.rng.randint(1, 3),
+                             self.assigns(inner), self.assigns(tail))
+
 
 # ---------------------------------------------------------------------------
 # class recipes
 
 
-def _split_ints(pool: _Pool):
-    half = max(1, len(pool.ints) // 2)
-    return pool.ints[:half], pool.ints[half:]
-
-
-def _loop_seg(pool: _Pool, per_group: int) -> LoopSeg:
-    ints_a, ints_b = _split_ints(pool)
-    return LoopSeg(pool.counter(), pool.rng.randint(1, 3),
-                   pool.assigns(per_group, among=ints_a),
-                   pool.assigns(per_group, among=ints_b or ints_a))
-
-
 def _shape(cls: str, rng: random.Random) -> Shape:
     if cls == "basic":
-        pool = _Pool(rng, 3, 2, 1, 2)
-        segments = [
-            Straight(pool.assigns(3), split=True),
-            BranchSeg(pool.guard(), pool.assigns(1), pool.assigns(2),
-                      pool.assigns(2)),
-            _loop_seg(pool, 2),
-            BranchSeg(pool.guard(), pool.assigns(1), pool.assigns(2),
-                      pool.assigns(2)),
-            Straight(pool.assigns(2)),
-        ]
+        p = _Pool(rng, 3, 2, 1, 2)
+        segments = [p.straight(3, split=True), p.branch(1, 2, 2), p.loop(2),
+                    p.branch(1, 2, 2), p.straight(2)]
     elif cls == "simple":
-        pool = _Pool(rng, 4, 2, 1, 2)
-        segments = [
-            Straight(pool.assigns(4), split=True),
-            BranchSeg(pool.guard(), pool.assigns(1), pool.assigns(2),
-                      pool.assigns(2)),
-            NestedLoopSeg(pool.counter(), rng.randint(1, 2), pool.counter(),
-                          rng.randint(1, 3), pool.assigns(3),
-                          pool.assigns(2)),
-            BranchSeg(pool.guard(), pool.assigns(1), pool.assigns(2),
-                      pool.assigns(2)),
-            _loop_seg(pool, 2),
-            BranchSeg(pool.guard(), pool.assigns(1), pool.assigns(2),
-                      pool.assigns(2)),
-            Straight(pool.assigns(3), split=True),
-        ]
+        p = _Pool(rng, 4, 2, 1, 2)
+        segments = [p.straight(4, split=True), p.branch(1, 2, 2),
+                    p.nested_loop(3, 2), p.branch(1, 2, 2), p.loop(2),
+                    p.branch(1, 2, 2), p.straight(3, split=True)]
     elif cls == "medium":
-        pool = _Pool(rng, 6, 2, 2, 2)
-        segments = [
-            Straight(pool.assigns(4), split=True),
-            BranchSeg(pool.guard(), pool.assigns(2), pool.assigns(2),
-                      pool.assigns(2)),
-            NestedLoopSeg(pool.counter(), rng.randint(1, 2), pool.counter(),
-                          rng.randint(1, 3), pool.assigns(4),
-                          pool.assigns(3)),
-            _loop_seg(pool, 3),
-            _loop_seg(pool, 3),
-            _loop_seg(pool, 3),
-            BranchSeg(pool.guard(), pool.assigns(2), pool.assigns(3),
-                      pool.assigns(3)),
-            Straight(pool.assigns(5), split=True),
-        ]
+        p = _Pool(rng, 6, 2, 2, 2)
+        segments = [p.straight(4, split=True), p.branch(2, 2, 2),
+                    p.nested_loop(4, 3), p.loop(3), p.loop(3), p.loop(3),
+                    p.branch(2, 3, 3), p.straight(5, split=True)]
     elif cls == "complex":
-        pool = _Pool(rng, 8, 3, 2, 3)
-        segments = [
-            Straight(pool.assigns(6), split=True),
-            BranchSeg(pool.guard(), pool.assigns(2), pool.assigns(3),
-                      pool.assigns(3), nested_guard=pool.guard(),
-                      arm_a2=pool.assigns(2)),
-            NestedLoopSeg(pool.counter(), rng.randint(1, 2), pool.counter(),
-                          rng.randint(1, 3), pool.assigns(4),
-                          pool.assigns(3)),
-            _loop_seg(pool, 3),
-            Straight(pool.assigns(6), split=True),
-            _loop_seg(pool, 3),
-            BranchSeg(pool.guard(), pool.assigns(2), pool.assigns(3),
-                      pool.assigns(3), nested_guard=pool.guard(),
-                      arm_a2=pool.assigns(3)),
-            _loop_seg(pool, 3),
-            Straight(pool.assigns(7), split=True),
-            _loop_seg(pool, 2),
-            Straight(pool.assigns(6), split=True),
-        ]
+        p = _Pool(rng, 8, 3, 2, 3)
+        segments = [p.straight(6, split=True), p.branch(2, 3, 3, a2=2),
+                    p.nested_loop(4, 3), p.loop(3), p.straight(6, split=True),
+                    p.loop(3), p.branch(2, 3, 3, a2=3), p.loop(3),
+                    p.straight(7, split=True), p.loop(2),
+                    p.straight(6, split=True)]
     else:
         raise ValueError(f"unknown benchmark class {cls!r}")
-    return Shape(pool.decls(), segments), pool
+    return Shape(p.decls(), segments)
 
 
 def statement_count(prog: SfcProgram) -> int:
@@ -430,11 +373,9 @@ def statement_count(prog: SfcProgram) -> int:
 # upgrade transformations (semantics preserving)
 
 
-def _upgrade(shape: Shape, pool: _Pool, cls: str,
-             rng: random.Random) -> Shape:
-    segments = [replace(s) if not isinstance(s, (Straight,))
-                else Straight(list(s.assigns), s.split)
-                for s in shape.segments]
+def _upgrade(shape: Shape, cls: str, rng: random.Random) -> Shape:
+    segments = [Straight(list(s.assigns), s.split) if isinstance(s, Straight)
+                else replace(s) for s in shape.segments]
     upgraded = Shape(list(shape.vars), segments, list(shape.aux_writes))
 
     def code_motion():
@@ -444,17 +385,13 @@ def _upgrade(shape: Shape, pool: _Pool, cls: str,
         for seg in cands:
             for i in range(len(seg.assigns) - 1):
                 (v1, e1), (v2, e2) = seg.assigns[i], seg.assigns[i + 1]
-                from .sfc_core import expr_vars
                 if v1 != v2 and v1 not in expr_vars(e2) \
                         and v2 not in expr_vars(e1):
                     seg.assigns[i], seg.assigns[i + 1] = \
                         seg.assigns[i + 1], seg.assigns[i]
-                    return True
-        return False
+                    return
 
     def split_step():
-        from .sfc_core import expr_vars
-
         def valid_cuts(seg):
             # the trailing piece must visibly change state (some assignment
             # reads its own target), otherwise a chunk ending before the
@@ -472,45 +409,39 @@ def _upgrade(shape: Shape, pool: _Pool, cls: str,
                  and len(s.assigns) >= 2]
         cands = [(s, cuts) for s, cuts in cands if cuts]
         if not cands:
-            return False
+            return
         seg, cuts = rng.choice(cands)
         cut = cuts[len(cuts) // 2]
         idx = upgraded.segments.index(seg)
         upgraded.segments[idx:idx + 1] = [
             Straight(seg.assigns[:cut]), Straight(seg.assigns[cut:])]
-        return True
 
     def add_uncommon():
         name = f"aux{sum(1 for v in upgraded.vars if v.name.startswith('aux'))}"
         upgraded.vars.append(VarDecl(name, "int", IntLit(0)))
         upgraded.aux_writes.append(
             (name, Binary("+", VarRef(name), IntLit(rng.randint(1, 3)))))
-        return True
 
     def parallelize():
-        from .sfc_core import expr_vars
-
         def independent(seg):
             wa = {v for v, _ in seg.group_a}
             wb = {v for v, _ in seg.group_b}
-            ra = set().union(*[expr_vars(e) for _, e in seg.group_a]) \
-                if seg.group_a else set()
-            rb = set().union(*[expr_vars(e) for _, e in seg.group_b]) \
-                if seg.group_b else set()
+            ra = set().union(*[expr_vars(e) for _, e in seg.group_a])
+            rb = set().union(*[expr_vars(e) for _, e in seg.group_b])
             return not (wa & wb or wa & rb or wb & ra)
 
         loops = [s for s in upgraded.segments if isinstance(s, LoopSeg)
                  and not s.parallel and s.group_a and s.group_b
                  and independent(s)]
         if not loops:
-            return False
+            return
         seg = rng.choice(loops)
         fresh = f"{seg.counter}p"
         upgraded.vars.append(VarDecl(fresh, "int", IntLit(0)))
         seg.parallel = fresh
-        return True
 
     def guard_refine():
+        # every class has Straight segments to place the branch after
         count = sum(1 for s in upgraded.segments
                     if isinstance(s, RefineSeg))
         gname = f"gate{count}"
@@ -519,24 +450,19 @@ def _upgrade(shape: Shape, pool: _Pool, cls: str,
         upgraded.vars.append(VarDecl(fname, "bool", BoolLit(False)))
         spots = [i for i, s in enumerate(upgraded.segments)
                  if isinstance(s, Straight)]
-        if not spots:
-            return False
         upgraded.segments.insert(rng.choice(spots) + 1,
                                  RefineSeg(gname, fname))
-        return True
 
+    # each plan holds a move that always applies: add_uncommon or
+    # guard_refine
     plans = {
         "basic": [code_motion, add_uncommon],
         "simple": [split_step, guard_refine, add_uncommon, code_motion],
         "medium": [parallelize, add_uncommon],
         "complex": [parallelize, guard_refine, split_step, code_motion],
     }
-    applied = 0
     for move in plans[cls]:
-        if move():
-            applied += 1
-    if applied == 0:
-        add_uncommon()
+        move()
     return upgraded
 
 
@@ -552,20 +478,18 @@ def gen_bench(cls: str, seed: int, certify: bool = True,
         raise ValueError(f"unknown benchmark class {cls!r}")
     for attempt in range(GEN_RETRIES):
         rng = random.Random(seed * 1009 + attempt)
-        shape, pool = _shape(cls, rng)
+        shape = _shape(cls, rng)
         v0 = render(shape)
-        upgraded = _upgrade(shape, pool, cls, rng)
-        v1 = render(upgraded)
+        v1 = render(_upgrade(shape, cls, rng))
         if validate_sfc(v0) or validate_sfc(v1):
             continue
         if not certify:
             return v0, v1
         n0, n1 = translate(v0), translate(v1)
-        outs0 = sorted(n0.out_ports(), key=natural_key)
-        outs1 = sorted(n1.out_ports(), key=natural_key)
-        if len(outs0) != len(outs1):
+        try:
+            _f_in, f_out = default_correspondences(n0, n1)
+        except ConfigError:
             continue
-        f_out = dict(zip(outs0, outs1))
         ok, _ = confirm_equivalent(n0, n1, f_out, window)
         if ok:
             return v0, v1

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ._util import PlcError, natural_key
-from .path_engine import (NotComposable, NotMergeable, Path, PathCover,
-                          concatenate, merge, path_constructor)
+from .path_engine import (NotMergeable, Path, PathCover, concatenate, merge,
+                          path_constructor)
 from .petri_net import PetriNet, WriteConflict
 from .symbolic import (DEFAULT_SETTINGS, NormSettings,
                        drop_uncommon_guard_seq, drop_uncommon_transform,
@@ -227,10 +227,8 @@ def prepare_for_extension(gamma: Path, pool, seen: set,
             continue
         if nxt.start_tick != gamma.last_tick + 1:
             continue
-        try:
-            ext = concatenate(gamma, nxt, settings)
-        except (NotComposable, WriteConflict):
-            continue
+        # the two filters above are concatenate's preconditions
+        ext = concatenate(gamma, nxt, settings)
         key = (ext.trans_seq, ext.pre_places, ext.post_places)
         if key in seen:
             continue

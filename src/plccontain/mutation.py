@@ -18,10 +18,11 @@ emitted mutant is a genuine fault.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._util import PlcError, natural_key
-from .oracle import behaviorally_different
+from .oracle import DEFAULT_WINDOW, behaviorally_different
+from .path_engine import cycle_places
 from .petri_net import translate
 from .sfc_core import (ActionBlock, SfcProgram, Step, expr_vars,
                        validate_sfc)
@@ -44,74 +45,48 @@ class MutationSpec:
     target_step: str = ""  # optional: restrict to one step id
 
 
-def _branch_steps(prog: SfcProgram) -> list:
-    by_source = {}
-    for tr in prog.transitions:
-        for src in tr.sources:
-            by_source.setdefault(src, []).append(tr)
-    return sorted((s for s, ts in by_source.items() if len(ts) > 1),
-                  key=natural_key)
-
-
-def _branch_arms(prog: SfcProgram, branch: str) -> list:
-    arms = []
+def _branches(prog: SfcProgram):
+    """(bifurcation step, arm) pairs: each step with more than one
+    outgoing transition, then each other step those transitions mark, in
+    natural order."""
+    outgoing = {}
     for tr in sorted(prog.transitions, key=lambda t: natural_key(t.id)):
-        if branch in tr.sources:
-            for tgt in sorted(tr.targets, key=natural_key):
-                arms.append(tgt)
-    return arms
+        for src in tr.sources:
+            outgoing.setdefault(src, []).append(tr)
+    for branch in sorted((s for s, ts in outgoing.items() if len(ts) > 1),
+                         key=natural_key):
+        for tr in outgoing[branch]:
+            for arm in sorted(tr.targets, key=natural_key):
+                if arm != branch:
+                    yield branch, arm
 
 
-def _loop_body_steps(prog: SfcProgram) -> list:
-    from .path_engine import cycle_places
-
-    net = translate(prog)
-    return sorted(cycle_places(net), key=natural_key)
-
-
-def _first_assignment_block(step: Step):
-    for i, blk in enumerate(step.blocks):
-        if blk.body:
-            return i, blk
-    return None, None
-
-
-def _replace_step(prog: SfcProgram, new_step: Step) -> SfcProgram:
-    steps = tuple(new_step if s.id == new_step.id else s
-                  for s in prog.steps)
+def _edit_step(prog: SfcProgram, sid: str, edit) -> SfcProgram:
+    """``prog`` with the blocks of step ``sid`` replaced by
+    ``edit(list of its blocks)``."""
+    steps = tuple(Step(s.id, tuple(edit(list(s.blocks)))) if s.id == sid
+                  else s for s in prog.steps)
     return SfcProgram(prog.vars, steps, prog.transitions,
                       prog.initial_steps)
 
 
-def _append_assignment(step: Step, assignment) -> Step:
-    for i in range(len(step.blocks) - 1, -1, -1):
-        if step.blocks[i].qualifier == "entry":
-            blk = step.blocks[i]
-            blocks = list(step.blocks)
-            blocks[i] = ActionBlock(blk.action_name, blk.qualifier,
-                                    blk.body + (assignment,))
-            return Step(step.id, tuple(blocks))
-    return Step(step.id, step.blocks +
-                (ActionBlock("Mut", "entry", (assignment,)),))
+def _set_body(blocks: list, bi: int, body: tuple) -> list:
+    blocks[bi] = replace(blocks[bi], body=body)
+    return blocks
 
 
-def _prepend_assignment(step: Step, assignment) -> Step:
-    for i, blk in enumerate(step.blocks):
-        if blk.qualifier == "entry":
-            blocks = list(step.blocks)
-            blocks[i] = ActionBlock(blk.action_name, blk.qualifier,
-                                    (assignment,) + blk.body)
-            return Step(step.id, tuple(blocks))
-    return Step(step.id, (ActionBlock("Mut", "entry", (assignment,)),)
-                + step.blocks)
-
-
-def _remove_assignment(step: Step, block_index: int, stmt_index: int) -> Step:
-    blk = step.blocks[block_index]
-    body = blk.body[:stmt_index] + blk.body[stmt_index + 1:]
-    blocks = list(step.blocks)
-    blocks[block_index] = ActionBlock(blk.action_name, blk.qualifier, body)
-    return Step(step.id, tuple(blocks))
+def _insert(blocks: list, assignment, at_end: bool) -> list:
+    """Put ``assignment`` at the end of the last entry block (``at_end``)
+    or at the start of the first one; a step without one gets a new
+    ``Mut`` entry block there."""
+    entries = [i for i, blk in enumerate(blocks) if blk.qualifier == "entry"]
+    if not entries:
+        new = ActionBlock("Mut", "entry", (assignment,))
+        return blocks + [new] if at_end else [new] + blocks
+    i = entries[-1] if at_end else entries[0]
+    body = blocks[i].body
+    return _set_body(blocks, i, body + (assignment,) if at_end
+                     else (assignment,) + body)
 
 
 # ---------------------------------------------------------------------------
@@ -121,56 +96,35 @@ def _remove_assignment(step: Step, block_index: int, stmt_index: int) -> Step:
 def _type1_sites(prog: SfcProgram) -> list:
     """(branch step, arm step) pairs where the arm's first assignment can
     be hoisted above the branch."""
-    sites = []
     smap = prog.step_map()
-    for branch in _branch_steps(prog):
-        for arm in _branch_arms(prog, branch):
-            if arm == branch:
-                continue
-            bi, blk = _first_assignment_block(smap[arm])
-            if blk is not None:
-                sites.append((branch, arm))
-    return sites
+    return [(branch, arm) for branch, arm in _branches(prog)
+            if any(blk.body for blk in smap[arm].blocks)]
 
 
 def _apply_type1(prog: SfcProgram, site) -> SfcProgram:
     branch, arm = site
-    smap = prog.step_map()
-    bi, blk = _first_assignment_block(smap[arm])
-    assignment = blk.body[0]
-    prog = _replace_step(prog, _remove_assignment(smap[arm], bi, 0))
-    smap = prog.step_map()
-    return _replace_step(prog, _append_assignment(smap[branch], assignment))
+    blocks = prog.step_map()[arm].blocks
+    bi = next(i for i, blk in enumerate(blocks) if blk.body)
+    body = blocks[bi].body
+    prog = _edit_step(prog, arm, lambda bs: _set_body(bs, bi, body[1:]))
+    return _edit_step(prog, branch,
+                      lambda bs: _insert(bs, body[0], at_end=True))
 
 
 def _type2_sites(prog: SfcProgram) -> list:
-    sites = []
     smap = prog.step_map()
-    for branch in _branch_steps(prog):
-        bstep = smap[branch]
-        has = any(blk.body for blk in bstep.blocks)
-        if not has:
-            continue
-        for arm in _branch_arms(prog, branch):
-            if arm != branch:
-                sites.append((branch, arm))
-    return sites
+    return [(branch, arm) for branch, arm in _branches(prog)
+            if any(blk.body for blk in smap[branch].blocks)]
 
 
 def _apply_type2(prog: SfcProgram, site) -> SfcProgram:
     branch, arm = site
-    smap = prog.step_map()
-    bstep = smap[branch]
-    for i in range(len(bstep.blocks) - 1, -1, -1):
-        if bstep.blocks[i].body:
-            assignment = bstep.blocks[i].body[-1]
-            shrunk = _remove_assignment(bstep, i,
-                                        len(bstep.blocks[i].body) - 1)
-            prog = _replace_step(prog, shrunk)
-            smap = prog.step_map()
-            return _replace_step(prog,
-                                 _prepend_assignment(smap[arm], assignment))
-    raise MutationInapplicable("bifurcation step has no assignment")
+    blocks = prog.step_map()[branch].blocks
+    bi = max(i for i, blk in enumerate(blocks) if blk.body)
+    body = blocks[bi].body
+    prog = _edit_step(prog, branch, lambda bs: _set_body(bs, bi, body[:-1]))
+    return _edit_step(prog, arm,
+                      lambda bs: _insert(bs, body[-1], at_end=False))
 
 
 def _type3_sites(prog: SfcProgram) -> list:
@@ -178,11 +132,8 @@ def _type3_sites(prog: SfcProgram) -> list:
     dependence chain inside a loop body."""
     sites = []
     smap = prog.step_map()
-    for sid in _loop_body_steps(prog):
-        step = smap.get(sid)
-        if step is None:
-            continue
-        for bi, blk in enumerate(step.blocks):
+    for sid in sorted(cycle_places(translate(prog)), key=natural_key):
+        for bi, blk in enumerate(smap[sid].blocks):
             for si in range(len(blk.body) - 1):
                 v1, rhs1 = blk.body[si]
                 v2, rhs2 = blk.body[si + 1]
@@ -196,14 +147,9 @@ def _type3_sites(prog: SfcProgram) -> list:
 
 def _apply_type3(prog: SfcProgram, site) -> SfcProgram:
     sid, bi, si = site
-    smap = prog.step_map()
-    step = smap[sid]
-    blk = step.blocks[bi]
-    body = list(blk.body)
-    body[si], body[si + 1] = body[si + 1], body[si]
-    blocks = list(step.blocks)
-    blocks[bi] = ActionBlock(blk.action_name, blk.qualifier, tuple(body))
-    return _replace_step(prog, Step(sid, tuple(blocks)))
+    body = prog.step_map()[sid].blocks[bi].body
+    swapped = body[:si] + (body[si + 1], body[si]) + body[si + 2:]
+    return _edit_step(prog, sid, lambda bs: _set_body(bs, bi, swapped))
 
 
 _SITES = {"type1": _type1_sites, "type2": _type2_sites,
@@ -213,7 +159,7 @@ _APPLY = {"type1": _apply_type1, "type2": _apply_type2,
 
 
 def mutate(prog: SfcProgram, spec: MutationSpec,
-           certify: bool = True, window=(0, 3)) -> SfcProgram:
+           certify: bool = True, window=DEFAULT_WINDOW) -> SfcProgram:
     """Apply the requested fault type at a seeded-random applicable site.
 
     With ``certify`` (the default) sites are tried until the oracle

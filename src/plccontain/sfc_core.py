@@ -66,7 +66,8 @@ class UndeclaredVariable(SfcError):
         self.name = name
         self.line = line
         self.col = col
-        super().__init__(f"{line}:{col}: undeclared variable {name!r}")
+        msg = f"undeclared variable {name!r}"
+        super().__init__(f"{line}:{col}: {msg}" if line else msg)
 
 
 # ---------------------------------------------------------------------------

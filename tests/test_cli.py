@@ -5,6 +5,7 @@ import pytest
 from conftest import INITIAL_CONFLICT, JOIN_CONFLICT
 
 from plccontain import cli
+from plccontain.benchmarks import gen_bench
 from plccontain.cli import CheckConfig, main, parse_map_file
 from plccontain.containment import ConfigError
 from plccontain.path_engine import TrackerLimitExceeded
@@ -107,6 +108,36 @@ def test_empty_program_is_an_error(tmp_path):
     assert main(["paths", str(empty)]) == 1
     assert main(["translate", str(empty)]) == 1
     assert main(["check", V0, str(empty), "--out", str(tmp_path)]) == 1
+
+
+def test_undeclared_variable_has_no_made_up_position(tmp_path, capsys):
+    chart = tmp_path / "undeclared.sfc"
+    chart.write_text("var x : int = 0; step s0 { entry A { x := z + 1; } } "
+                     "init s0;")
+    assert main(["paths", str(chart)]) == 1
+    lines = _error_lines(capsys.readouterr().err)
+    assert lines == [f"error: {chart}: undeclared variable 'z'"]
+    assert "0:0" not in lines[0]
+
+
+def test_check_invalid_sfc_exit_one(tmp_path, capsys):
+    chart = tmp_path / "dangling.sfc"
+    chart.write_text("step s0 { } trans T1 : s7 -> s0; init s0;")
+    assert main(["check", str(chart), str(chart),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {chart}: invalid SFC: DanglingSource: transition 'T1' "
+        "reads missing step 's7' [T1]"]
+
+
+def test_check_swapped_upgrade_pair_exit_zero(tmp_path, capsys):
+    v0, v1 = gen_bench("simple", 0, certify=False)
+    old, new = tmp_path / "v1.sfc", tmp_path / "v0.sfc"
+    old.write_text(pretty_print(v1))
+    new.write_text(pretty_print(v0))
+    assert main(["check", str(old), str(new),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert "VERDICT: N1 ⊑ N0 and N0 ⊄ N1" in capsys.readouterr().out
 
 
 def test_check_bad_map_exit_one(tmp_path):

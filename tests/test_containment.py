@@ -8,8 +8,11 @@ from plccontain.containment import (ConfigError, Correspondences,
                                     path_equiv, prepare_for_extension,
                                     prepare_for_merging, select_candidates,
                                     validate_bijections)
+from plccontain.benchmarks import gen_bench
+from plccontain.oracle import confirm_containment
 from plccontain.path_engine import concatenate
 from plccontain.petri_net import translate
+from plccontain.report import build_report
 
 from conftest import PICK_PLACE_FOUT, SPLIT_FOUT
 
@@ -158,6 +161,21 @@ def test_pick_and_place_verdict(verdict):
     assert ("a1", "b1.b2") in pair_ids
     assert ("a4", "(b5 v b6)") in pair_ids
     assert ("a5", "(b7 v b8)") in pair_ids
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_swapped_upgrade_pair_is_n1_in_n0(seed):
+    # the upgrade writes a variable the original lacks, so with the
+    # upgrade as N0 only N1 ⊑ N0 holds
+    v0, v1 = gen_bench("simple", seed, certify=False)
+    n0, n1 = translate(v1), translate(v0)
+    verdict = containment_checker(n0, n1)
+    assert verdict.code == "N1_IN_N0"
+    assert build_report(verdict)["verdict_line"] == \
+        "VERDICT: N1 ⊑ N0 and N0 ⊄ N1"
+    inverse = {b: a for a, b in verdict.correspondences.f_out.items()}
+    ok, counterexample = confirm_containment(n1, n0, inverse)
+    assert ok, counterexample
 
 
 def test_reflexive_equivalence(nets):

@@ -11,7 +11,7 @@ from plccontain.oracle import (OracleBudgetExceeded, behaviorally_different,
 from plccontain.petri_net import translate
 from plccontain.sfc_core import parse_sfc
 
-from conftest import PICK_PLACE_FOUT, SPLIT_FOUT
+from conftest import JOIN_CONFLICT, PICK_PLACE_FOUT, SPLIT_FOUT
 
 
 def test_input_vars_are_never_written(nets):
@@ -85,6 +85,21 @@ def test_waste_branch_port(nets):
     out = run_outcome(n0, {"L1": True, "Fixer": 0}, common)
     assert out.out_ports == frozenset(["s10"])
     assert dict(out.state)["WasteBin"] is True
+
+
+def test_invalid_runs_refute_n0_and_are_skipped_in_n1():
+    join = translate(parse_sfc(JOIN_CONFLICT))
+    good = translate(parse_sfc(
+        JOIN_CONFLICT.replace("var x : int = 0;",
+                              "var x : int = 0; var y : int = 0;")
+        .replace("A9 { x := 1; }", "A9 { y := 1; }")))
+    assert confirm_containment(join, good, {"s5": "s5"}) == (
+        False, {"n0_invalid": "places 's2' and 's9' both write 'x'",
+                "inputs": {}})
+    # the only N1 run is invalid, so no run matches N0's
+    ok, counterexample = confirm_containment(good, join, {"s5": "s5"})
+    assert not ok
+    assert counterexample["n0_ports"] == ["s5"]
 
 
 def test_budget_guard():

@@ -85,6 +85,26 @@ def test_translate_active_block_self_loop():
     assert tr.state_before_last()["I"] == 3
 
 
+def test_self_loop_guard_negates_every_exit():
+    prog = parse_sfc("""
+    var i : int = 0;
+    var g : bool = false;
+    step s0 { }
+    step s1 { active Body { i := i + 1; } }
+    step s2 { }
+    step s3 { }
+    trans T1 : s0 -> s1;
+    trans T2 : s1 -> s2 when i >= 3;
+    trans T3 : s1 -> s3 when g;
+    trans T4 : s2 -> s0;
+    trans T5 : s3 -> s0;
+    init s0;
+    """)
+    loop_u = next(t for t in translate(prog).transitions if t.id == "s1__u")
+    assert loop_u.guard == Unary("!", Binary(
+        "||", Binary(">=", VarRef("i"), IntLit(3)), VarRef("g")))
+
+
 def test_translate_fork(pick_place_v1, nets):
     _, n1 = nets
     fork = [t for t in n1.transitions if len(n1.post_places(t.id)) == 2]

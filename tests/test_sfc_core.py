@@ -5,10 +5,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from plccontain.petri_net import translate
-from plccontain.sfc_core import (Binary, BoolLit, IntLit, SfcSyntaxError,
-                                 SfcTypeError, UndeclaredVariable, Unary,
-                                 VarRef, expr_to_str, infer_type, negate,
-                                 parse_sfc, pretty_print, validate_sfc)
+from plccontain.sfc_core import (Binary, BoolLit, IntLit, SfcError,
+                                 SfcSyntaxError, SfcTypeError,
+                                 UndeclaredVariable, Unary, VarRef,
+                                 expr_to_str, infer_type, negate, parse_sfc,
+                                 pretty_print, validate_sfc)
 
 MINIMAL = "var b : bool = false; step s0 { entry A { b := true; } } init s0;"
 
@@ -82,6 +83,41 @@ def test_type_error():
     with pytest.raises(SfcTypeError):
         parse_sfc("var x : int = 0; step s0 { entry A { x := true; } } "
                   "init s0;")
+
+
+_BAD_GUARD = ("var x : int = 0; var p : bool = false; var q : bool = false; "
+              "step s0 { } step s1 { } trans T : s0 -> s1 when {}; init s0;")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("var x : int = 0; var x : bool = false; step s0 { } init s0;",
+     "variable 'x' declared twice"),
+    (_BAD_GUARD.replace("{}", "!x"), "'!' needs a bool operand"),
+    (_BAD_GUARD.replace("{}", "p < q"), "'<' orders int operands only"),
+    (_BAD_GUARD.replace("{}", "p = x"), "'=' compares mixed types"),
+    (_BAD_GUARD.replace("{}", "x + 1"), "guard of 'T' is not boolean"),
+    ("var x : int = true; step s0 { } init s0;",
+     "1:9: initializer of int 'x' must be an integer literal"),
+    ("var p : bool = 0; step s0 { } init s0;",
+     "1:9: initializer of bool 'p' must be a boolean literal"),
+    ("step s0 { } step s0 { } init s0;",
+     "DuplicateStep: step 's0' defined twice [s0]"),
+    ("step s0 { } step s1 { } trans T : s0 -> s1; trans T : s1 -> s0; "
+     "init s0;", "DuplicateTransition: transition 'T' defined twice [T]"),
+    ("step s0 { } trans T : s7 -> s0; init s0;",
+     "DanglingSource: transition 'T' reads missing step 's7' [T]"),
+    ("step s0 { } init {s0, s3};",
+     "UnknownInitialStep: initial step 's3' does not exist [s3]"),
+])
+def test_front_end_error_messages(text, message):
+    """Each parse, type or structure error with its exact message."""
+    try:
+        prog = parse_sfc(text)
+    except SfcError as exc:
+        got = str(exc)
+    else:
+        got = "; ".join(str(d) for d in validate_sfc(prog))
+    assert got == message
 
 
 def test_dangling_target_diagnostic():
