@@ -28,11 +28,12 @@ from ._util import PlcError
 from .benchmarks import CLASSES, gen_bench
 from .containment import ConfigError, containment_checker
 from .mutation import MutationSpec, mutate
+from .oracle import DEFAULT_WINDOW
 from .path_engine import cover_to_json, path_constructor
 from .petri_net import net_to_json, translate
 from .report import build_report, render_json, render_text
 from .sfc_core import SfcError, parse_sfc, pretty_print, validate_sfc
-from .symbolic import NormSettings
+from .symbolic import DEFAULT_BOOL_BOUND, NormSettings
 
 
 @dataclass
@@ -40,7 +41,7 @@ class CheckConfig:
     old_path: str
     new_path: str
     map_path: str = ""
-    bool_bound: int = 16
+    bool_bound: int = DEFAULT_BOOL_BOUND
     out_format: str = "both"  # text | json | both
     out_dir: str = "."
 
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "both"),
                    default="both")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--bool-bound", type=int, default=16,
+    p.add_argument("--bool-bound", type=int, default=DEFAULT_BOOL_BOUND,
                    help="most boolean atoms in one canonical form")
 
     p = sub.add_parser("translate", help="dump the Petri net as JSON")
@@ -157,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="dump the path cover as JSON")
     p.add_argument("file")
-    p.add_argument("--bool-bound", type=int, default=16,
+    p.add_argument("--bool-bound", type=int, default=DEFAULT_BOOL_BOUND,
                    help="most boolean atoms in one canonical form")
 
     p = sub.add_parser("mutate", help="emit a faulty upgrade")
@@ -167,14 +168,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="", help="restrict to a step id")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--int-window", default="0..3",
+    p.add_argument("--int-window", default="{}..{}".format(*DEFAULT_WINDOW),
                    help="integer input window LO..HI")
 
     p = sub.add_parser("gen-bench", help="emit a certified benchmark pair")
     p.add_argument("--cls", choices=CLASSES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--int-window", default="0..3",
+    p.add_argument("--int-window", default="{}..{}".format(*DEFAULT_WINDOW),
                    help="integer input window LO..HI")
     return ap
 

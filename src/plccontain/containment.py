@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ._util import PlcError, natural_key
-from .path_engine import (NotMergeable, Path, PathCover, concatenate, merge,
-                          path_constructor)
+from .path_engine import (NotComposable, NotMergeable, Path, PathCover,
+                          concatenate, merge, path_constructor)
 from .petri_net import PetriNet, WriteConflict
 from .symbolic import (DEFAULT_SETTINGS, NormSettings,
                        drop_uncommon_guard_seq, drop_uncommon_transform,
@@ -217,18 +217,14 @@ def select_candidates(alpha: Path, pool, corr: Correspondences) -> list:
 
 def prepare_for_extension(gamma: Path, pool, seen: set,
                           settings: NormSettings = DEFAULT_SETTINGS) -> list:
-    """Concatenate gamma with each post-path that starts inside its
-    post-places at the next tick; returns the fresh extended paths."""
+    """Concatenate gamma with each post-path that composes with it;
+    returns the fresh extended paths."""
     products = []
     for nxt in sorted(pool, key=_by_id):
-        if nxt.id == gamma.id:
+        try:
+            ext = concatenate(gamma, nxt, settings)
+        except NotComposable:
             continue
-        if not nxt.pre_places or not nxt.pre_places <= gamma.post_places:
-            continue
-        if nxt.start_tick != gamma.last_tick + 1:
-            continue
-        # the two filters above are concatenate's preconditions
-        ext = concatenate(gamma, nxt, settings)
         key = (ext.trans_seq, ext.pre_places, ext.post_places)
         if key in seen:
             continue
@@ -275,14 +271,10 @@ def _extension_moves(alpha: Path, beta: Path, res: CompareResult) -> list:
 def prepare_for_merging(candidates, cover: PathCover,
                         settings: NormSettings = DEFAULT_SETTINGS):
     """Yield the merges of parallel candidates: subsets by size ascending,
-    then in id order, whose pre-places are disjoint and that merge."""
+    then in id order, that merge."""
     cands = sorted(candidates, key=_by_id)
     for size in range(2, len(cands) + 1):
         for group in combinations(cands, size):
-            pre_sets = [p.pre_places for p in group]
-            union = frozenset().union(*pre_sets)
-            if sum(len(s) for s in pre_sets) != len(union):
-                continue
             try:
                 merged = merge(list(group), cover, settings)
             except (NotMergeable, WriteConflict):

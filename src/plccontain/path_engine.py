@@ -257,8 +257,7 @@ class _Tracker:
     def run(self, cps: set):
         """One tracking pass; grows `cps` in place."""
         self.cps = cps
-        self.records = {}  # key -> discovery index
-        self.record_list = []
+        self.records = {}  # key -> (start tick, last tick), in discovery order
         self.cones = {}  # cone signature -> interned id
         m0 = self.net.initial_marking
         self.markings = {m0}
@@ -301,7 +300,6 @@ class _Tracker:
             sets = self._structural_sets(new_marked, fired)
             stack.append([sets[::-1], new_marked, producers2, te,
                           len(sets) > 1])
-        return self.record_list
 
     def _structural_sets(self, marked: frozenset, fired: set) -> list:
         """Maximal sets of structurally firable fresh transitions: pre-places
@@ -415,11 +413,8 @@ class _Tracker:
         post = frozenset().union(*[self.post[t] for t in trans_seq[-1]])
         # tick stamps come from the first traversal that discovers the
         # route; later branches (e.g. zero-iteration loop exits) reuse it
-        key = (trans_seq, frozenset(pre), post)
-        if key not in self.records:
-            self.records[key] = (len(self.record_list), ordered[0],
-                                 ordered[-1])
-            self.record_list.append(key + (ordered[0], ordered[-1]))
+        self.records.setdefault((trans_seq, frozenset(pre), post),
+                                (ordered[0], ordered[-1]))
 
 
 def _place_writes(settings: NormSettings, updates, env: dict) -> dict:
@@ -433,13 +428,14 @@ def _place_writes(settings: NormSettings, updates, env: dict) -> dict:
     return dict(acc.entries)
 
 
-def _finish_path(net: PetriNet, env: dict, key, pid: str,
+def _finish_path(net: PetriNet, env: dict, key, ticks, pid: str,
                  settings: NormSettings) -> Path:
     """Run the path's rounds symbolically as the simulator runs them: each
     round conjoins its guards, and its newly marked places, in
     ``_fire_structure``'s order and with the sequence each one runs,
     commit their writes through ``_commit_blocks``."""
-    trans_seq, pre, post, start, last = key
+    trans_seq, pre, post = key
+    start, last = ticks
     maps = net._maps()
     tm, pm = maps["trans_map"], maps["place_map"]
     guards = []
@@ -462,20 +458,19 @@ def _finish_path(net: PetriNet, env: dict, key, pid: str,
 def path_constructor(net: PetriNet, prefix: str = "p",
                      settings: NormSettings = DEFAULT_SETTINGS) -> PathCover:
     """Build the path cover by repeated token-tracking passes until the
-    cut-point set stabilizes; paths come from the final pass only."""
+    cut-point set stabilizes; paths come from the final pass only. A pass
+    that changes the set adds a place to it, so there are at most
+    ``len(net.places) + 1`` passes."""
     statics = static_cut_points(net)
     cps = set(statics)
     tracker = _Tracker(net)
-    for _ in range(len(net.places) + 2):
+    before = None
+    while cps != before:
         before = set(cps)
         tracker.run(cps)
-        if cps == before:
-            break
     env = net.var_env()
-    paths = []
-    for i, key in enumerate(tracker.record_list):
-        paths.append(_finish_path(net, env, key, f"{prefix}{i + 1}",
-                                  settings))
+    paths = [_finish_path(net, env, key, ticks, f"{prefix}{i}", settings)
+             for i, (key, ticks) in enumerate(tracker.records.items(), 1)]
     return PathCover(tuple(paths),
                      CutPoints(statics, frozenset(cps) - statics),
                      frozenset(tracker.markings))
@@ -487,18 +482,20 @@ def path_constructor(net: PetriNet, prefix: str = "p",
 
 def concatenate(a: Path, b: Path,
                 settings: NormSettings = DEFAULT_SETTINGS) -> Path:
-    """Sequential composition a.b; guard entries stay per-round, data
-    transformations compose by substitution."""
-    if not (b.pre_places & a.post_places):
-        raise NotComposable(f"{b.id} does not start where {a.id} ends")
+    """Sequential composition a.b: b's pre-places are non-empty and lie
+    inside a's post-places, and b starts the tick after a ends. Guard
+    entries stay per-round, data transformations compose by
+    substitution."""
     if b.start_tick != a.last_tick + 1:
         raise NotComposable(
             f"tick gap between {a.id} (ends {a.last_tick}) and "
             f"{b.id} (starts {b.start_tick})")
+    if not b.pre_places or not b.pre_places <= a.post_places:
+        raise NotComposable(f"{b.id} does not start where {a.id} ends")
     return Path(
         f"{a.id}.{b.id}",
         a.trans_seq + b.trans_seq,
-        a.pre_places | (b.pre_places - a.post_places),
+        a.pre_places,
         b.post_places,
         guard_seq(a.guard_seq + b.guard_seq),
         compose(a.transform, b.transform, settings),
@@ -510,9 +507,9 @@ def concatenate(a: Path, b: Path,
 
 def merge(paths, cover: PathCover,
           settings: NormSettings = DEFAULT_SETTINGS) -> Path:
-    """Fuse parallelizable paths sharing a common feeding transition (or
-    whose sources were co-marked during tracking); rounds align by absolute
-    tick, guards conjoin, transforms union disjointly."""
+    """Fuse parallelizable paths: their pre-places are pairwise disjoint
+    and were co-marked during tracking. Rounds align by absolute tick,
+    guards conjoin, transforms union disjointly."""
     paths = sorted(paths, key=lambda p: natural_key(p.id))
     if not paths:
         raise NotMergeable("nothing to merge")
@@ -523,8 +520,8 @@ def merge(paths, cover: PathCover,
         if all_pre & p.pre_places:
             raise NotMergeable("pre-place sets overlap")
         all_pre |= p.pre_places
-    if not _parallelizable(paths, cover):
-        raise NotMergeable("no common feeding transition or co-marking")
+    if not any(all_pre <= m for m in cover.markings):
+        raise NotMergeable("pre-places were never co-marked")
 
     lo = min(p.start_tick for p in paths)
     hi = max(p.last_tick for p in paths)
@@ -562,14 +559,6 @@ def merge(paths, cover: PathCover,
         hi,
         parts=sum((p.parts for p in paths), ()),
     )
-
-
-def _parallelizable(paths, cover: PathCover) -> bool:
-    net_markings = cover.markings
-    union_pre = frozenset().union(*[p.pre_places for p in paths])
-    if any(union_pre <= m for m in net_markings):
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

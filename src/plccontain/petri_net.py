@@ -279,6 +279,7 @@ def translate(prog: SfcProgram) -> PetriNet:
     transitions = []
     input_arcs = set()
     output_arcs = set()
+    init = frozenset(prog.initial_steps)
 
     outgoing = {}
     for tr in prog.transitions:
@@ -301,26 +302,19 @@ def translate(prog: SfcProgram) -> PetriNet:
             for g in exits[1:]:
                 cond = Binary("||", cond, g)
             uid = f"{step.id}__u"
-            transitions.append(PnTransition(uid, negate(cond)))
+            transitions.append(PnTransition(
+                uid, negate(cond), is_synchronizing={step.id} == init))
             input_arcs.add((step.id, uid))
             output_arcs.add((uid, step.id))
 
     for tr in prog.transitions:
-        transitions.append(PnTransition(tr.id, tr.guard))
+        transitions.append(PnTransition(
+            tr.id, tr.guard, is_synchronizing=tr.targets == init))
         for src in tr.sources:
             input_arcs.add((src, tr.id))
         for tgt in tr.targets:
             output_arcs.add((tr.id, tgt))
 
-    init = frozenset(prog.initial_steps)
-    post = {}
-    for t, p in output_arcs:
-        post.setdefault(t, set()).add(p)
-    transitions = [
-        PnTransition(t.id, t.guard,
-                     is_synchronizing=(frozenset(post.get(t.id, ())) == init))
-        for t in transitions
-    ]
     return PetriNet(tuple(places), tuple(prog.vars), tuple(transitions),
                     frozenset(input_arcs), frozenset(output_arcs), init)
 

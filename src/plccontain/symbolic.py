@@ -728,7 +728,11 @@ def _rename_norm(v, ren: dict, settings: NormSettings) -> object:
         return v
     if isinstance(v, IntNorm):
         return int_substitute(v, {o: int_var(c) for o, c in ren.items()})
-    return bool_substitute(v, {o: _from_atom(BVar(c)) for o, c in ren.items()},
+    # each name becomes a variable of its own kind: names of BVar atoms are
+    # bool, names inside comparison polynomials are int
+    bools = {a.name for a in v.atoms if isinstance(a, BVar)}
+    return bool_substitute(v, {o: _from_atom(BVar(c)) if o in bools
+                               else int_var(c) for o, c in ren.items()},
                            settings)
 
 

@@ -5,14 +5,15 @@ import pytest
 from plccontain.containment import (ConfigError, Correspondences,
                                     EquivLedger, bisim_degree,
                                     compare_paths, containment_checker,
+                                    default_correspondences,
                                     path_equiv, prepare_for_extension,
                                     prepare_for_merging, select_candidates,
                                     validate_bijections)
 from plccontain.benchmarks import gen_bench
-from plccontain.oracle import confirm_containment
+from plccontain.oracle import confirm_containment, confirm_equivalent
 from plccontain.path_engine import concatenate
 from plccontain.petri_net import translate
-from plccontain.report import build_report
+from plccontain.report import build_report, render_text
 
 from conftest import PICK_PLACE_FOUT, SPLIT_FOUT
 
@@ -219,24 +220,50 @@ var {v} : int = 0;
 var x : int = 0;
 step s0 {{ }}
 step s1 {{ entry Step {{ {v} := {v} + 2; x := x + {v}; }} }}
+step s2 {{ entry Big {{ x := 0; }} }}
 trans t1 : s0 -> s1;
-trans t2 : s1 -> s0;
+trans t2 : s1 -> s0 when {v} < 6;
+trans t3 : s1 -> s2 when !({v} < 6);
+trans t4 : s2 -> s0;
 init s0;
 """
 
 
-def test_eta_v_proposed_on_renamed_counter():
-    """The upgrade renames the counter I to J: the proposer pairs them in
-    the direction of the check."""
+def _renamed_nets():
     from plccontain.sfc_core import parse_sfc
 
-    n_i = translate(parse_sfc(RENAMED.format(v="I")))
-    n_j = translate(parse_sfc(RENAMED.format(v="J")))
+    return tuple(translate(parse_sfc(RENAMED.format(v=v))) for v in "IJ")
+
+
+def test_eta_v_proposed_on_renamed_counter():
+    """The upgrade renames the counter I to J: the proposer pairs them in
+    the direction of the check, and the guards over the counter are
+    compared under that renaming. The oracle confirms the pair."""
+    n_i, n_j = _renamed_nets()
     for n0, n1, eta_v in ((n_i, n_j, [("I", "J")]),
                           (n_j, n_i, [("J", "I")])):
         v = containment_checker(n0, n1)
         assert v.code == "EQUIVALENT"
         assert v.correspondences.eta_v == eta_v
+    f_out = {p: p for p in n_i.out_ports()}
+    assert confirm_equivalent(n_i, n_j, f_out) == (True, None)
+
+
+def test_text_report_lists_eta_v_pairs():
+    n_i, n_j = _renamed_nets()
+    txt = render_text(build_report(containment_checker(n_i, n_j)))
+    assert "  I (N0) ~ J (N1)" in txt.splitlines()
+
+
+def test_default_correspondences_need_equal_counts():
+    from plccontain.sfc_core import parse_sfc
+
+    single = translate(parse_sfc("step s0 { } init s0;"))
+    pair = translate(parse_sfc("step s0 { } step s1 { } init {s0, s1};"))
+    with pytest.raises(ConfigError, match="initial places"):
+        default_correspondences(single, pair)
+    with pytest.raises(ConfigError, match="out-ports"):
+        default_correspondences(single, _renamed_nets()[0])
 
 
 def test_eta_v_injectivity(nets, pick_place_v0):

@@ -163,6 +163,23 @@ def test_concatenate_rejects_gap(covers):
         concatenate(by["a1"], by["a4"])  # a4 does not start at a1's end
 
 
+def test_concatenate_composability_rule(covers):
+    """b composes after a when its pre-places are non-empty and inside a's
+    post-places and it starts the tick after a ends."""
+    from dataclasses import replace
+
+    c0, _ = covers
+    by = c0.by_id()
+    a, b = by["a3"], by["a4"]
+    assert concatenate(a, b).pre_places == a.pre_places
+    late = replace(b, start_tick=b.start_tick + 1)
+    with pytest.raises(NotComposable, match="tick gap"):
+        concatenate(a, late)
+    for pre in (frozenset(), b.pre_places | {"elsewhere"}):
+        with pytest.raises(NotComposable, match="does not start where"):
+            concatenate(a, replace(b, pre_places=pre))
+
+
 # ---------------------------------------------------------------------------
 # merging
 

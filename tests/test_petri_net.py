@@ -429,6 +429,25 @@ def test_simulate_single_place_halts():
     assert tr.stopped == "halt" and len(tr.rounds) == 0
 
 
+SINK = """
+var x : int = 0;
+step s0 { }
+step s1 { entry A { x := 1; } }
+trans t1 : s0 -> s1;
+init s0;
+"""
+
+
+def test_simulate_halts_on_sinks():
+    from plccontain.oracle import run_outcome
+
+    net = translate(parse_sfc(SINK))
+    tr = simulate(net)
+    assert isinstance(tr, Trace) and tr.stopped == "halt"
+    assert tr.final.tick == 1 and tr.final.state == {"x": 1}
+    assert run_outcome(net, {}, frozenset({"x"})).stopped == "halt"
+
+
 def test_simulate_quiescent_on_false_guards(nets):
     n0, _ = nets
     tr = simulate(n0, state={"L1": False})

@@ -73,6 +73,31 @@ def test_division_truncates_toward_zero():
     assert sy.tdiv(-7, 2) == -3 and sy.tdiv(7, -2) == -3
 
 
+def test_int_div_folds():
+    assert norm(Binary("/", IntLit(7), IntLit(-2))) == sy.int_const(-3)
+    assert sy.int_to_str(norm(Binary("/", V("x"), IntLit(-2)))) == \
+        "div(-x, 2)"
+    assert norm(Binary("/", V("x"), IntLit(1))) == norm(V("x"))
+
+
+def test_bool_equality_matches_eval_expr():
+    """Boolean ``=`` and ``!=`` agree with the reference evaluator on every
+    assignment, a comparison operand included."""
+    from itertools import product
+
+    from plccontain.petri_net import eval_expr
+
+    below = Binary("<", V("x"), IntLit(1))
+    for op, right in product(("=", "!="), (V("q"), below)):
+        e = Binary(op, V("p"), right)
+        form = norm(e)
+        for p, q, x in product((False, True), (False, True), (0, 1)):
+            state = {"p": p, "q": q, "x": x}
+            assert sy.eval_bool(form, state) == eval_expr(e, state)
+    assert sy.bool_to_str(norm(Binary("=", V("p"), V("q")))) == \
+        "(!p & !q) | (p & q)"
+
+
 def test_kind_mismatch():
     with pytest.raises(sy.KindMismatch):
         sy.expr_equiv(norm(V("x")), norm(V("p")))
@@ -220,6 +245,20 @@ def test_drop_uncommon_renames_eta_v_pairs():
         {"J": sy.int_add(sy.int_var("J"), sy.int_const(1))})
     out = sy.drop_uncommon_transform(t, frozenset(["I"]), [("I", "J")])
     assert out.get("I") == sy.int_add(sy.int_var("I"), sy.int_const(1))
+
+
+def test_drop_uncommon_renames_inside_guards():
+    """Each renamed name becomes a variable of its own kind: an int inside
+    a comparison atom is renamed, not projected away."""
+    env = {"J": "int", "n": "int", "Q": "bool"}
+    below = Binary("<", V("J"), V("n"))
+    seq = (sy.normalize(below, env),)
+    out = sy.drop_uncommon_guard_seq(seq, frozenset({"n"}), [("I", "J")])
+    assert sy.guard_seq_to_str(out) == "(I - n <= -1)"
+    seq = (sy.normalize(Binary("&&", V("Q"), below), env),)
+    out = sy.drop_uncommon_guard_seq(seq, frozenset({"n"}),
+                                     [("I", "J"), ("P", "Q")])
+    assert sy.guard_seq_to_str(out) == "P & (I - n <= -1)"
 
 
 def test_drop_uncommon_idempotent():
