@@ -18,10 +18,7 @@ that alters any cover or any report shows up byte for byte.
     python3 scripts/cover_golden.py [OUT]   # default tests/cover_golden.json
 
 Run it on a known-good tree: the digests it writes are the reference.
-They pin bytes, not correctness. Some recorded verdicts are known to be
-wrong (the medium upgrade mutants whose containment the oracle refutes,
-ROADMAP item 1); they are recorded as the checker gives them, and the
-change that fixes the checker regenerates the digests.
+They pin bytes, not correctness.
 """
 
 import hashlib

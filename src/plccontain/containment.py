@@ -386,7 +386,6 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
     pi0 = list(cover0.paths)
     pi1 = list(cover1.paths)
     pairs = []
-    consumed0, consumed1 = set(), set()
     failures0, failures1 = {}, {}
     seen_ext = set()
 
@@ -398,8 +397,6 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         corr.eta_v.extend(res.new_pairs)
         _bind_posts(alpha, beta, corr, n0, n1)
         pairs.append((alpha, beta))
-        consumed0.update(alpha.parts)
-        consumed1.update(beta.parts)
         pi0.remove(alpha)
         for b in covered:
             pi1.remove(b)
@@ -471,12 +468,14 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         # a pass that moved nothing changed no state, so its results stand
         resolve(*stuck)
 
-    unmatched0 = tuple(
-        (p.id, failures0.get(p.id, CLAUSE_NO_CANDIDATE))
-        for p in cover0.paths if p.id not in consumed0)
-    unmatched1 = tuple(
-        (p.id, failures1.get(p.id, CLAUSE_NO_CANDIDATE))
-        for p in cover1.paths if p.id not in consumed1)
+    def unmatched(cover, side, failures):
+        # matched: a part of a matched pair and of no path resolve failed
+        matched = {o for m in pairs for o in m[side].parts} - failures.keys()
+        return tuple((p.id, failures.get(p.id, CLAUSE_NO_CANDIDATE))
+                     for p in cover.paths if p.id not in matched)
+
+    unmatched0 = unmatched(cover0, 0, failures0)
+    unmatched1 = unmatched(cover1, 1, failures1)
     ledger = EquivLedger(pairs, unmatched0, unmatched1)
 
     if not unmatched0 and not unmatched1:

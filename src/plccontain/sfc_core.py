@@ -511,6 +511,8 @@ def validate_sfc(prog: SfcProgram) -> list:
             diags.append(Diagnostic("DuplicateStep",
                                     f"step {s.id!r} defined twice", s.id))
         seen.add(s.id)
+    # translate names a step's self-loop <step id>__u
+    self_loops = {f"{s.id}__u": s.id for s in prog.steps}
     seen_t = set()
     for tr in prog.transitions:
         if tr.id in seen_t:
@@ -518,6 +520,11 @@ def validate_sfc(prog: SfcProgram) -> list:
                                     f"transition {tr.id!r} defined twice",
                                     tr.id))
         seen_t.add(tr.id)
+        if tr.id in self_loops:
+            diags.append(Diagnostic(
+                "ReservedTransitionId",
+                f"transition {tr.id!r} takes the id reserved for the "
+                f"self-loop of step {self_loops[tr.id]!r}", tr.id))
         for src in sorted(tr.sources):
             if src not in step_ids:
                 diags.append(Diagnostic(

@@ -345,6 +345,27 @@ def test_round_write_conflict_exit_one(tmp_path, capsys):
         "error: places 's2' and 's9' both write 'x'"] * 2
 
 
+def test_self_loop_id_clash_exit_one(tmp_path, capsys):
+    # s1's active block gives it the self-loop s1__u: a transition with
+    # that id would make two transitions of one id
+    chart = tmp_path / "clash.sfc"
+    chart.write_text("var x : int = 0;\n"
+                     "step s0 { }\n"
+                     "step s1 { active A { x := x + 1; } }\n"
+                     "trans T0 : s0 -> s1 when x = 0;\n"
+                     "trans s1__u : s1 -> s0 when x > 2;\n"
+                     "init s0;\n")
+    assert main(["check", str(chart), str(chart),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert main(["paths", str(chart)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == [
+        f"error: {chart}: invalid SFC: ReservedTransitionId: transition "
+        "'s1__u' takes the id reserved for the self-loop of step 's1' "
+        "[s1__u]"] * 2
+
+
 def test_mutate_initial_write_conflict(tmp_path, capsys):
     # every run of the chart is invalid, which the oracle counts as a
     # difference, so the first type-1 site is certified

@@ -106,6 +106,10 @@ _BAD_GUARD = ("var x : int = 0; var p : bool = false; var q : bool = false; "
      "init s0;", "DuplicateTransition: transition 'T' defined twice [T]"),
     ("step s0 { } trans T : s7 -> s0; init s0;",
      "DanglingSource: transition 'T' reads missing step 's7' [T]"),
+    ("step s0 { } step s1 { } trans T : s0 -> s1; "
+     "trans s1__u : s1 -> s0; init s0;",
+     "ReservedTransitionId: transition 's1__u' takes the id reserved for "
+     "the self-loop of step 's1' [s1__u]"),
     ("step s0 { } init {s0, s3};",
      "UnknownInitialStep: initial step 's3' does not exist [s3]"),
 ])
