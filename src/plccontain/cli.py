@@ -26,7 +26,7 @@ from pathlib import Path as FsPath
 
 from ._util import PlcError
 from .benchmarks import CLASSES, gen_bench
-from .containment import ConfigError, containment_checker
+from .containment import VERDICT_MAY_NOT, ConfigError, containment_checker
 from .mutation import MutationSpec, mutate
 from .oracle import DEFAULT_WINDOW
 from .path_engine import cover_to_json, path_constructor
@@ -126,7 +126,7 @@ def cmd_check(cfg: CheckConfig) -> int:
     _write_files(cfg.out_dir, files)
     print(report["verdict_line"])
     print(f"bisim degree: {report['bisim_degree']}")
-    return 0 if verdict.code != "MAY_NOT_BE_EQUIVALENT" else 2
+    return 0 if verdict.code != VERDICT_MAY_NOT else 2
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 
 from ._util import PlcError, natural_key
-from .oracle import DEFAULT_WINDOW, behaviorally_different
+from .oracle import DEFAULT_WINDOW, confirm_equivalent
 from .path_engine import cycle_places
 from .petri_net import translate
 from .sfc_core import (ActionBlock, SfcProgram, Step, expr_vars,
@@ -189,7 +189,7 @@ def mutate(prog: SfcProgram, spec: MutationSpec,
         mnet = translate(mutant)
         if set(mnet.out_ports()) != set(base_net.out_ports()):
             continue
-        if behaviorally_different(base_net, mnet, f_out, window):
+        if not confirm_equivalent(base_net, mnet, f_out, window)[0]:
             return mutant
     raise MutationInapplicable(
         f"no {spec.kind} site changes behavior under the oracle window")

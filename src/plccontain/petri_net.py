@@ -20,7 +20,7 @@ from functools import partial
 
 from .sfc_core import (Expr, SfcProgram, TRUE, VarRef, IntLit,
                        BoolLit, Unary, Binary, expr_to_str, negate,
-                       QUALIFIER_ORDER)
+                       self_loop_id, QUALIFIER_ORDER)
 from .symbolic import tdiv
 from ._util import PlcError, natural_key
 
@@ -301,7 +301,7 @@ def translate(prog: SfcProgram) -> PetriNet:
             cond = exits[0]
             for g in exits[1:]:
                 cond = Binary("||", cond, g)
-            uid = f"{step.id}__u"
+            uid = self_loop_id(step.id)
             transitions.append(PnTransition(
                 uid, negate(cond), is_synchronizing={step.id} == init))
             input_arcs.add((step.id, uid))

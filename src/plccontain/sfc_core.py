@@ -490,6 +490,12 @@ def parse_sfc(text: str) -> SfcProgram:
 # validation
 
 
+def self_loop_id(step_id: str) -> str:
+    """Id of the transition ``translate`` loops on a step with an active
+    body; no SFC transition may take it."""
+    return f"{step_id}__u"
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     code: str
@@ -511,8 +517,7 @@ def validate_sfc(prog: SfcProgram) -> list:
             diags.append(Diagnostic("DuplicateStep",
                                     f"step {s.id!r} defined twice", s.id))
         seen.add(s.id)
-    # translate names a step's self-loop <step id>__u
-    self_loops = {f"{s.id}__u": s.id for s in prog.steps}
+    self_loops = {self_loop_id(s.id): s.id for s in prog.steps}
     seen_t = set()
     for tr in prog.transitions:
         if tr.id in seen_t:

@@ -5,9 +5,8 @@ from plccontain._util import natural_key
 from plccontain.benchmarks import gen_bench
 from plccontain.mutation import (MUTATION_KINDS, MutationInapplicable,
                                  MutationSpec, mutate)
-from plccontain.oracle import (OracleBudgetExceeded, behaviorally_different,
-                               confirm_containment, confirm_equivalent,
-                               input_vars, run_outcome)
+from plccontain.oracle import (OracleBudgetExceeded, confirm_containment,
+                               confirm_equivalent, input_vars, run_outcome)
 from plccontain.petri_net import translate
 from plccontain.sfc_core import parse_sfc
 
@@ -50,13 +49,13 @@ def test_mutant_behaviorally_different(pick_place_v0, nets):
     n0, _ = nets
     mutant = mutate(pick_place_v0, MutationSpec("type1", seed=1))
     nm = translate(mutant)
-    assert behaviorally_different(n0, nm, {p: p for p in n0.out_ports()})
+    assert not confirm_equivalent(n0, nm, {p: p for p in n0.out_ports()})[0]
 
 
 def test_identity_not_different(nets):
     n0, _ = nets
-    assert not behaviorally_different(n0, n0,
-                                      {p: p for p in n0.out_ports()})
+    assert confirm_equivalent(n0, n0, {p: p for p in n0.out_ports()}) == (
+        True, None)
 
 
 def test_quiescent_runs_have_no_computation(nets):
@@ -108,6 +107,24 @@ def test_budget_guard():
     net = translate(parse_sfc(decls + text))
     with pytest.raises(OracleBudgetExceeded):
         confirm_containment(net, net, {}, window=(0, 3))
+
+
+def _inputs_and_y(n_inputs, y):
+    """n_inputs unread int inputs, and one step that sets y to y."""
+    decls = "".join(f"var i{k} : int = 0;\n" for k in range(n_inputs))
+    return translate(parse_sfc(
+        decls + "var y : int = 0;\nstep s0 { }\n"
+        f"step s1 {{ entry A1 {{ y := {y}; }} }}\n"
+        "trans T0 : s0 -> s1;\ntrans T1 : s1 -> s0;\ninit s0;\n"))
+
+
+def test_budget_bounds_the_joint_valuations_of_a_direction(runs):
+    # 4**8 valuations of N0 (within the limit) times 4**2 of N1's extra
+    # inputs: 1,048,576 runs, refused before the first
+    n0, n1 = _inputs_and_y(8, 1), _inputs_and_y(10, 2)
+    with pytest.raises(OracleBudgetExceeded, match="^1048576 input"):
+        confirm_containment(n0, n1, {"s1": "s1"})
+    assert runs == []
 
 
 # x is an input of N1; N0 declares x and writes it after reading it, so a
@@ -175,7 +192,6 @@ def _gate0_pairs():
 
 
 def _assert_shared_runs(runs, n0, n1, f_out):
-    assert input_vars(n0) != input_vars(n1)
     expected = _unshared(n0, n1, f_out)
     runs.clear()
     assert confirm_equivalent(n0, n1, f_out) == expected
@@ -193,13 +209,27 @@ def test_shared_runs_on_gate0_pairs_and_mutants(runs):
     confirmed = {}
     for name, old, new in _gate0_pairs():
         n0, n1 = translate(old), translate(new)
-        if set(input_vars(n0)) == set(input_vars(n1)) or \
-                len(n0.out_ports()) != len(n1.out_ports()):
+        if len(n0.out_ports()) != len(n1.out_ports()):
             continue
         confirmed[name], _ = _assert_shared_runs(runs, n0, n1,
                                                  _port_map(n0, n1))
     assert confirmed.pop("upgrade")
     assert len(confirmed) >= 4 and not all(confirmed.values()), confirmed
+
+
+def test_shared_runs_on_equal_inputs(runs):
+    """A pair whose nets have the same inputs takes the same two
+    directions: a certified basic pair, and a mutant of its original
+    refuted against the original."""
+    v0, v1 = gen_bench("basic", 1, certify=False)
+    n0, n1 = translate(v0), translate(v1)
+    assert input_vars(n0) == input_vars(n1)
+    assert _assert_shared_runs(runs, n0, n1, _port_map(n0, n1)) == (
+        True, None)
+    nm = translate(mutate(v0, MutationSpec("type1", 0), certify=False))
+    assert input_vars(nm) == input_vars(n0)
+    ok, ce = _assert_shared_runs(runs, n0, nm, _port_map(n0, nm))
+    assert not ok and set(ce) == {"inputs", "n0_ports", "n0_state"}
 
 
 def test_complex_pair_simulates_each_run_once(runs):
