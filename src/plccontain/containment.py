@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from ._util import PlcError, natural_key
 from .path_engine import (NotComposable, NotMergeable, Path, PathCover,
@@ -268,18 +267,29 @@ def _extension_moves(alpha: Path, beta: Path, res: CompareResult) -> list:
             if prefix[side] and wanted(side, cond)]
 
 
-def prepare_for_merging(candidates, cover: PathCover,
+def prepare_for_merging(candidates, image: frozenset, cover: PathCover,
                         settings: NormSettings = DEFAULT_SETTINGS):
-    """Yield the merges of parallel candidates: subsets by size ascending,
-    then in id order, that merge."""
+    """Yield the merges of parallel candidates whose pre-places partition
+    `image`, the image of alpha's pre-places (no other group can match
+    alpha): groups of two or more by size ascending, then in id order."""
     cands = sorted(candidates, key=_by_id)
-    for size in range(2, len(cands) + 1):
-        for group in combinations(cands, size):
-            try:
-                merged = merge(list(group), cover, settings)
-            except (NotMergeable, WriteConflict):
-                continue
-            yield merged
+
+    def partitions(rest, start):
+        for i in range(start, len(cands)):
+            pre = cands[i].pre_places
+            if pre == rest:
+                yield (cands[i],)
+            elif pre and pre < rest:
+                yield from ((cands[i],) + g
+                            for g in partitions(rest - pre, i + 1))
+
+    for group in sorted((g for g in partitions(image, 0) if len(g) > 1),
+                        key=len):
+        try:
+            merged = merge(list(group), cover, settings)
+        except (NotMergeable, WriteConflict):
+            continue
+        yield merged
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +422,9 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         if not any(r.clause in (CLAUSE_PLACES, CLAUSE_TRANSFORM)
                    for _, r in results):
             return False
-        for merged in prepare_for_merging([b for b, _ in results], cover1,
-                                          settings):
+        image = corr.place_image(alpha.pre_places)
+        for merged in prepare_for_merging([b for b, _ in results], image,
+                                          cover1, settings):
             res = compare_paths(alpha, merged, corr, n0, n1, settings)
             if res.ok:
                 parts = set(merged.parts)

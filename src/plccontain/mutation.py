@@ -49,13 +49,10 @@ def _branches(prog: SfcProgram):
     """(bifurcation step, arm) pairs: each step with more than one
     outgoing transition, then each other step those transitions mark, in
     natural order."""
-    outgoing = {}
-    for tr in sorted(prog.transitions, key=lambda t: natural_key(t.id)):
-        for src in tr.sources:
-            outgoing.setdefault(src, []).append(tr)
+    outgoing = prog.outgoing()
     for branch in sorted((s for s, ts in outgoing.items() if len(ts) > 1),
                          key=natural_key):
-        for tr in outgoing[branch]:
+        for tr in sorted(outgoing[branch], key=lambda t: natural_key(t.id)):
             for arm in sorted(tr.targets, key=natural_key):
                 if arm != branch:
                     yield branch, arm

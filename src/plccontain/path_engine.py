@@ -1,8 +1,11 @@
 """Cut-point discovery, path construction, and the path algebra.
 
-Paths run from cut-points to cut-points without intermediary ones. Static
+Paths run from cut-points to cut-points without intermediary ones. Loops
+are those of the place graph without synchronizing transitions, found by
+one depth-first search: a loop entry is the target of an edge back into
+the search path, and a place on a loop lies on a directed cycle. Static
 cut-points are the initially marked places, places with several
-post-transitions, back-edge targets, and out-ports. Execution cut-points
+post-transitions, loop entries, and out-ports. Execution cut-points
 are added during a structural token-tracking pass: whenever the marking
 reached after a firing round touches a known cut-point or a place on a
 loop, leaves a loop, or holds tokens produced at different ticks, every
@@ -75,105 +78,82 @@ class CutPoints:
     execution_pts: frozenset
 
 
-def _successor_places(net: PetriNet, pid: str):
-    """(transition, place) successors of a place, deterministically ordered."""
-    out = []
-    for t in sorted(net.post_transitions(pid), key=natural_key):
-        for q in sorted(net.post_places(t), key=natural_key):
-            out.append((t, q))
-    return out
+class _PlaceGraph:
+    """The place graph without synchronizing transitions and one
+    depth-first search of it. Roots are the initial places, then every
+    other place, in natural order; successors come in natural order of
+    transition, then of place. The search finds the loop entries, the
+    targets of edges back into the search path, and, by Tarjan's
+    algorithm, the cycle places: components with more than one place, or
+    with a self-loop. `statics` adds the loop entries to the initial
+    places, the places with several post-transitions and the out-ports."""
+
+    def __init__(self, net: PetriNet):
+        maps = net._maps()
+        sync, post = maps["sync"], maps["post_p"]
+        self.post_tr = {p: tuple(sorted(ts - sync, key=natural_key))
+                        for p, ts in maps["post_t"].items()}
+        self.succ = succ = {
+            p: tuple(q for t in ts for q in sorted(post[t], key=natural_key))
+            for p, ts in self.post_tr.items()}
+        init = net.initial_marking
+        roots = sorted(init, key=natural_key) + sorted(
+            (p for p in succ if p not in init), key=natural_key)
+        index, low = {}, {}
+        work, on_path, comp, in_comp = [], set(), [], set()
+        entries, cycles = set(), set()
+
+        def enter(p):
+            index[p] = low[p] = len(index)
+            on_path.add(p)
+            comp.append(p)
+            in_comp.add(p)
+            work.append((p, iter(succ[p])))
+
+        for root in roots:
+            if root not in index:
+                enter(root)
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if w in on_path:
+                        entries.add(w)
+                    if w not in index:
+                        enter(w)
+                        break
+                    if w in in_comp:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    on_path.discard(v)
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        scc = set()
+                        while v not in scc:
+                            scc.add(comp.pop())
+                        in_comp -= scc
+                        if len(scc) > 1 or v in succ[v]:
+                            cycles |= scc
+        self.cycles = frozenset(cycles)
+        self.statics = frozenset(
+            init | entries | net.out_ports()
+            | {p for p, ts in maps["post_t"].items() if len(ts) > 1})
 
 
 def static_cut_points(net: PetriNet) -> frozenset:
-    """Initial places, multi-post places, back-edge targets, out-ports."""
-    pts = set(net.initial_marking)
-    for p in net.places:
-        if len(net.post_transitions(p.id)) > 1:
-            pts.add(p.id)
-    pts |= _back_edge_targets(net)
-    pts |= net.out_ports()
-    return frozenset(pts)
-
-
-def _back_edge_targets(net: PetriNet) -> frozenset:
-    """DFS over the place graph with a fixed ordering; targets of edges
-    into the active stack are loop-entry places."""
-    targets = set()
-    color = {}  # 0 unvisited (absent), 1 on stack, 2 done
-    roots = sorted(net.initial_marking, key=natural_key)
-    roots += [p.id for p in sorted(net.places, key=lambda p: natural_key(p.id))
-              if p.id not in net.initial_marking]
-
-    for r in roots:
-        if r in color:
-            continue
-        color[r] = 1
-        stack = [(r, iter(_successor_places(net, r)))]
-        while stack:
-            pid, succ = stack[-1]
-            for _t, q in succ:
-                c = color.get(q, 0)
-                if c == 1:
-                    targets.add(q)
-                elif c == 0:
-                    color[q] = 1
-                    stack.append((q, iter(_successor_places(net, q))))
-                    break
-            else:
-                color[pid] = 2
-                stack.pop()
-    return frozenset(targets)
+    """Initial places, places with several post-transitions (synchronizing
+    ones included), loop entries and out-ports. A loop entry is the target
+    of an edge back into the path of one depth-first search of the place
+    graph without synchronizing transitions (``_PlaceGraph``)."""
+    return _PlaceGraph(net).statics
 
 
 def cycle_places(net: PetriNet) -> frozenset:
-    """Places on a directed cycle, ignoring synchronizing transitions: the
-    members of non-trivial strongly connected components (Tarjan) and
-    places with a self-loop."""
-    sync = net.synchronizing_ids()
-    succ = {}
-    for p in net.places:
-        nxt = set()
-        for t in net.post_transitions(p.id):
-            if t not in sync:
-                nxt |= net.post_places(t)
-        succ[p.id] = nxt
-    index, low = {}, {}
-    stack, on_stack = [], set()
-    on_cycle = set()
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    if len(comp) > 1 or v in succ[v]:
-                        on_cycle.update(comp)
-    return frozenset(on_cycle)
+    """Places on a directed cycle of the place graph without synchronizing
+    transitions, from the same search as ``static_cut_points``."""
+    return _PlaceGraph(net).cycles
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +214,16 @@ class _Prod:
 
 
 class _Tracker:
-    def __init__(self, net: PetriNet):
+    def __init__(self, net: PetriNet, graph: _PlaceGraph):
         self.net = net
-        self.cycles = cycle_places(net)
+        self.cycles, self.succ = graph.cycles, graph.succ
+        self.post_tr = graph.post_tr
         maps = net._maps()
-        sync = maps["sync"]
         self.pre, self.post = maps["pre_p"], maps["post_p"]
         self.pre_sorted = {t: tuple(sorted(ps, key=natural_key))
                            for t, ps in self.pre.items()}
-        self.post_tr = {p: tuple(t for t in ts if t not in sync)
-                        for p, ts in maps["post_t"].items()}
         self.unsync = tuple(t.id for t in net.transitions
-                            if t.id not in sync)
+                            if not t.is_synchronizing)
         self.sourceless = tuple(t for t in self.unsync if not self.pre[t])
         self.live_cache = {}  # marking -> transitions it can still enable
         # pre- and post-places, tagged apart: two transitions conflict when
@@ -356,11 +334,10 @@ class _Tracker:
             reach = set(marked)
             todo = list(marked)
             while todo:
-                for t in self.post_tr[todo.pop()]:
-                    for q in self.post[t]:
-                        if q not in reach:
-                            reach.add(q)
-                            todo.append(q)
+                for q in self.succ[todo.pop()]:
+                    if q not in reach:
+                        reach.add(q)
+                        todo.append(q)
             live = frozenset(t for t in self.unsync if self.pre[t] <= reach)
             self.live_cache[marked] = live
         return live
@@ -368,17 +345,15 @@ class _Tracker:
     # cut-points and paths --------------------------------------------------
 
     def _mark_and_build(self, marking, te, producers, depth):
-        hit = bool(marking & self.cps)
-        hit = hit or bool(marking & self.cycles)
-        ticks = {producers[p].tick for p in marking if p in producers}
-        if len(ticks) > 1 or (ticks and any(p not in producers
-                                            for p in marking)):
-            hit = True  # tokens produced at different ticks coexist
-        for t in te:
-            if self.pre[t] & self.cycles and \
-                    not self.post[t] <= self.cycles:
-                hit = True  # firing left a loop
-        if not hit:
+        cycles = self.cycles
+        ticks = {producers[p].tick if p in producers else None
+                 for p in marking}  # None: an initial token
+        if not (marking & self.cps or marking & cycles
+                # tokens produced at different ticks coexist
+                or len(ticks) > 1
+                # firing left a loop
+                or any(self.pre[t] & cycles and not self.post[t] <= cycles
+                       for t in te)):
             return
         self.cps |= marking
         for p in sorted(marking, key=natural_key):
@@ -461,9 +436,9 @@ def path_constructor(net: PetriNet, prefix: str = "p",
     cut-point set stabilizes; paths come from the final pass only. A pass
     that changes the set adds a place to it, so there are at most
     ``len(net.places) + 1`` passes."""
-    statics = static_cut_points(net)
-    cps = set(statics)
-    tracker = _Tracker(net)
+    graph = _PlaceGraph(net)
+    cps = set(graph.statics)
+    tracker = _Tracker(net, graph)
     before = None
     while cps != before:
         before = set(cps)
@@ -472,7 +447,7 @@ def path_constructor(net: PetriNet, prefix: str = "p",
     paths = [_finish_path(net, env, key, ticks, f"{prefix}{i}", settings)
              for i, (key, ticks) in enumerate(tracker.records.items(), 1)]
     return PathCover(tuple(paths),
-                     CutPoints(statics, frozenset(cps) - statics),
+                     CutPoints(graph.statics, frozenset(cps) - graph.statics),
                      frozenset(tracker.markings))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 from .sfc_core import (Expr, SfcProgram, TRUE, VarRef, IntLit,
                        BoolLit, Unary, Binary, expr_to_str, negate,
@@ -281,10 +281,7 @@ def translate(prog: SfcProgram) -> PetriNet:
     output_arcs = set()
     init = frozenset(prog.initial_steps)
 
-    outgoing = {}
-    for tr in prog.transitions:
-        for src in tr.sources:
-            outgoing.setdefault(src, []).append(tr)
+    outgoing = prog.outgoing()
 
     for step in prog.steps:
         on_mark, on_loop, full = [], [], []
@@ -297,10 +294,8 @@ def translate(prog: SfcProgram) -> PetriNet:
         places.append(Place(step.id, written, tuple(full), tuple(on_mark),
                             tuple(on_loop)))
         if on_loop and step.id in outgoing:
-            exits = [tr.guard for tr in outgoing[step.id]]
-            cond = exits[0]
-            for g in exits[1:]:
-                cond = Binary("||", cond, g)
+            cond = reduce(partial(Binary, "||"),
+                          [tr.guard for tr in outgoing[step.id]])
             uid = self_loop_id(step.id)
             transitions.append(PnTransition(
                 uid, negate(cond), is_synchronizing={step.id} == init))

@@ -222,6 +222,14 @@ class SfcProgram:
     def step_map(self) -> dict:
         return {s.id: s for s in self.steps}
 
+    def outgoing(self) -> dict:
+        """Step id -> the transitions leaving it, in program order."""
+        out = {}
+        for tr in self.transitions:
+            for src in tr.sources:
+                out.setdefault(src, []).append(tr)
+        return out
+
 
 QUALIFIER_ORDER = ("entry", "active", "exit")
 
@@ -550,10 +558,7 @@ def validate_sfc(prog: SfcProgram) -> list:
     # reachability over the flow relation
     reach = set(prog.initial_steps & step_ids)
     frontier = list(reach)
-    by_source = {}
-    for tr in prog.transitions:
-        for src in tr.sources:
-            by_source.setdefault(src, []).append(tr)
+    by_source = prog.outgoing()
     while frontier:
         sid = frontier.pop()
         for tr in by_source.get(sid, ()):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,7 +139,9 @@ def test_prepare_for_extension_dead_end(covers):
 def test_prepare_for_merging_pair(nets, covers):
     _, c1 = covers
     by = c1.by_id()
-    merged = next(prepare_for_merging([by["b5"], by["b6"]], c1), None)
+    image = frozenset(["s6", "s9"])
+    merged = next(prepare_for_merging([by["b5"], by["b6"]], image, c1),
+                  None)
     assert merged is not None
     assert merged.pre_places == frozenset(["s6", "s9"])
 
@@ -146,7 +149,37 @@ def test_prepare_for_merging_pair(nets, covers):
 def test_prepare_for_merging_disjoint_ancestry(covers):
     c0, _ = covers
     by = c0.by_id()
-    assert next(prepare_for_merging([by["a2"], by["a7"]], c0), None) is None
+    image = frozenset(["s3", "s5"])
+    assert next(prepare_for_merging([by["a2"], by["a7"]], image, c0),
+                None) is None
+
+
+def _divergence(k: int, first: int) -> str:
+    """s0 with k exits Ti : s0 -> si when x = i; si sets y (to `first` in
+    s1, to i elsewhere) and returns to s0."""
+    lines = ["var x : int = 0;", "var y : int = 0;", "step s0 { }"]
+    for i in range(1, k + 1):
+        y = first if i == 1 else i
+        lines += [f"step s{i} {{ entry A{i} {{ y := {y}; }} }}",
+                  f"trans T{i} : s0 -> s{i} when x = {i};",
+                  f"trans R{i} : s{i} -> s0;"]
+    return "\n".join(lines + ["init s0;"])
+
+
+def test_wide_divergence_merges_only_partitions():
+    """Each path leaving s0 has 30 candidates, all with the pre-place s0,
+    so no group of two or more partitions the image {s0} and no merge is
+    tried; trying every subset of two or more would call `merge` 2^30 - 31
+    times."""
+    from plccontain.sfc_core import parse_sfc
+
+    n0, n1 = (translate(parse_sfc(_divergence(30, first)))
+              for first in (1, 99))
+    start = time.perf_counter()
+    v = containment_checker(n0, n1)
+    assert time.perf_counter() - start < 1.0
+    assert v.code == "MAY_NOT_BE_EQUIVALENT"
+    assert [pid for pid, _ in v.ledger.unmatched1] == ["b1"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from conftest import JOIN_CONFLICT
 from plccontain import symbolic as sy
 from plccontain.benchmarks import CLASSES, gen_bench
 from plccontain.path_engine import (NotComposable, NotMergeable, concatenate,
-                                    cover_to_json, cycle_places, merge,
-                                    path_constructor, static_cut_points)
+                                    _Tracker, cover_to_json, cycle_places,
+                                    merge, path_constructor,
+                                    static_cut_points)
 from plccontain.petri_net import (InvalidModel, Marking, Place,
                                   PnTransition, PetriNet, WriteConflict,
                                   enabled_transitions, initial_marking,
@@ -52,6 +53,26 @@ def test_self_loop_place_is_back_edge_target():
     net = translate(prog)
     assert "lp" in static_cut_points(net)
     assert "lp" in cycle_places(net)
+
+
+def test_loop_entries_ignore_synchronizing_transitions():
+    # Ts only closes the scan cycle: y is entered from s0 and from s1 but
+    # lies on no loop, so it is neither a loop entry nor a cycle place
+    net = translate(parse_sfc("""
+    step s0 { }
+    step s1 { }
+    step y { }
+    step z { }
+    step w { }
+    trans Ta : s0 -> y;
+    trans Tb : y -> z;
+    trans Ts : z -> {s0, s1};
+    trans Tq : s1 -> w;
+    trans Tr : w -> y;
+    init {s0, s1};
+    """))
+    assert static_cut_points(net) == frozenset(["s0", "s1", "z"])
+    assert cycle_places(net) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +147,55 @@ def test_cover_deterministic(nets):
     one = cover_to_json(path_constructor(n0, prefix="a"))
     two = cover_to_json(path_constructor(n0, prefix="a"))
     assert one == two
+
+
+# arm B waits at b1 while arm A branches on g and re-joins at a4, so the
+# memo keys below the branch need cones several firings deep: computing
+# one first computes its missing feeds and then reuses their cached cones
+MEMO_ROUTES = """
+var start : bool = false;
+var g : bool = false;
+var x : int = 0;
+var z : int = 0;
+step s0 { }
+step a0 { entry A0 { x := 1; } }
+step a1 { }
+step a2 { }
+step a3 { entry A3 { x := x + 1; } }
+step a4 { entry A4 { x := x * 2; } }
+step b0 { entry B0 { z := 0; } }
+step b1 { entry B1 { z := z + 1; } }
+step j { }
+trans T0 : s0 -> {a0, b0} when start;
+trans Ta1 : a0 -> a1;
+trans Ta2 : a1 -> a2;
+trans Ta3 : a2 -> a3 when g;
+trans Ta4 : a2 -> a4 when !g;
+trans Ta5 : a3 -> a4;
+trans Tb1 : b0 -> b1;
+trans Tj : {a4, b1} -> j;
+trans Tk : j -> s0;
+init s0;
+"""
+
+
+def test_memoised_cover_equals_full_walk(monkeypatch, pick_place_v0,
+                                         pick_place_v1, pick_place_split):
+    """Skipping subtrees whose memo key repeats changes nothing: with a
+    fresh, never-repeating key the tracker walks every branch, and the
+    cover, cut-points and markings come out the same."""
+    progs = [parse_sfc(MEMO_ROUTES), pick_place_v0, pick_place_v1,
+             pick_place_split]
+    progs += [v for cls in CLASSES for v in gen_bench(cls, 0, certify=False)]
+    nets = [translate(prog) for prog in progs]
+
+    def outcome(net):
+        cover = path_constructor(net)
+        return cover_to_json(cover), cover.cut_points, cover.markings
+
+    memoised = [outcome(net) for net in nets]
+    monkeypatch.setattr(_Tracker, "_tokens", lambda *_: object())
+    assert [outcome(net) for net in nets] == memoised
 
 
 # ---------------------------------------------------------------------------
