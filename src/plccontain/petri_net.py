@@ -156,7 +156,7 @@ def initial_marking(net: PetriNet, overrides: dict = None) -> Marking:
     if overrides:
         state.update(overrides)
     after = dict(state)
-    _commit_blocks(_plan(net).initial_blocks(), state, after)
+    _commit_blocks(_plan(net).initial_blocks()[0], state, after)
     return Marking(net.initial_marking, after, 0)
 
 
@@ -211,22 +211,26 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 
 
-def compile_expr(e: Expr):
+def compile_expr(e: Expr, reads: set = None):
     """A closure ``f`` with ``f(state) == eval_expr(e, state)``: the same
     value, the same evaluation order and the same errors, raised only when
-    the failing node is evaluated."""
+    the failing node is evaluated. The names of the variables ``e`` reads
+    are added to ``reads``, if given."""
+    if reads is None:
+        reads = set()
     if isinstance(e, (IntLit, BoolLit)):
         value = e.value
         return lambda state: value
     if isinstance(e, VarRef):
+        reads.add(e.name)
         return operator.itemgetter(e.name)
     if isinstance(e, Unary):
-        f = compile_expr(e.operand)
+        f = compile_expr(e.operand, reads)
         if e.op == "-":
             return lambda state: -f(state)
         return lambda state: not f(state)
     if isinstance(e, Binary):
-        a, b = compile_expr(e.left), compile_expr(e.right)
+        a, b = compile_expr(e.left, reads), compile_expr(e.right, reads)
         if e.op == "&&":
             return lambda state: bool(a(state)) and bool(b(state))
         if e.op == "||":
@@ -249,9 +253,11 @@ def compile_expr(e: Expr):
     return unknown
 
 
-def compile_updates(updates):
-    """A closure ``f`` with ``f(state) == _run_updates(updates, state)``."""
-    pairs = tuple((var, compile_expr(rhs)) for var, rhs in updates)
+def compile_updates(updates, reads: set = None):
+    """A closure ``f`` with ``f(state) == _run_updates(updates, state)``;
+    the names of the variables the right-hand sides read are added to
+    ``reads``, if given."""
+    pairs = tuple((var, compile_expr(rhs, reads)) for var, rhs in updates)
 
     def run(state):
         local, mine = dict(state), {}
@@ -480,37 +486,54 @@ class InvalidModel:
 @dataclass(slots=True)
 class _Ready:
     """The transitions structurally ready at one marking, in
-    ``net.transitions`` order with their compiled guards, and the steps
-    taken from it so far, by fired ids."""
+    ``net.transitions`` order with their compiled guards, the inputs those
+    guards read, and the steps taken from it so far, by fired ids."""
     marked: frozenset
     guards: tuple
+    reads: frozenset
     steps: dict = field(default_factory=dict)
 
 
 @dataclass(slots=True)
 class _Step:
     """One round from a marking with a given fired set: the successor
-    marking, the compiled update blocks in the order they run, whether the
-    round synchronizes, or why the round is invalid."""
+    marking, the compiled update blocks in the order they run and the
+    inputs they read, whether the round synchronizes, or why the round is
+    invalid."""
     fired: frozenset
     marked: frozenset = None
     blocks: tuple = ()
+    reads: frozenset = frozenset()
     sync: bool = False
     invalid: str = None
 
 
+@dataclass(slots=True)
+class _Checkpoint:
+    """Where a run stands: the state and tick, and either the ready set
+    whose guards it evaluates next (``step`` None) or the step whose blocks
+    it runs next."""
+    ready: _Ready
+    step: _Step
+    state: dict
+    tick: int
+
+
 class _Plan:
     """A net compiled for ``simulate``. Guards and update blocks are
-    compiled from the ``Expr`` AST when first needed; ready sets are
-    memoised per marking and steps per (marking, fired set), so the
-    natural-order sorts of a round run once per distinct round. The plan
-    holds the net's maps but never the net, so a net never sits in a
-    reference cycle through its plan."""
+    compiled from the ``Expr`` AST when first needed, each with the inputs
+    (variables no place writes) it reads; ready sets are memoised per
+    marking and steps per (marking, fired set), so the natural-order sorts
+    of a round run once per distinct round. The plan holds the net's maps
+    but never the net, so a net never sits in a reference cycle through
+    its plan."""
 
     def __init__(self, net: PetriNet):
         self.maps = net._maps()
         self.transitions = tuple((t.id, t.guard) for t in net.transitions)
         self.initial = net.initial_marking
+        self.inputs = frozenset(v.name for v in net.vars).difference(
+            *(p.vars for p in net.places))
         self.guards = {}
         self.blocks = {}
         self.ready_sets = {}
@@ -518,19 +541,30 @@ class _Plan:
 
     def _blocks(self, places) -> tuple:
         """``(place, compiled block)`` for each ``(place, self_loop)`` in
-        order, leaving out places whose sequence is empty."""
-        out = []
+        order, leaving out places whose sequence is empty, and the inputs
+        the blocks read."""
+        out, reads = [], frozenset()
         for pid, self_loop in places:
             block = self.blocks.get((pid, self_loop))
             if block is None:
                 updates = self.maps["place_map"][pid].marked_updates(self_loop)
-                block = compile_updates(updates) if updates else False
+                block = self._compiled(compile_updates, updates) \
+                    if updates else False
                 self.blocks[pid, self_loop] = block
             if block:
-                out.append((pid, block))
-        return tuple(out)
+                out.append((pid, block[0]))
+                if block[1]:
+                    reads = reads | block[1]
+        return tuple(out), reads
+
+    def _compiled(self, compiler, code) -> tuple:
+        """``compiler(code)``, and the inputs the compiled code reads."""
+        read = set()
+        fn = compiler(code, read)
+        return fn, self.inputs.intersection(read)
 
     def initial_blocks(self) -> tuple:
+        """The initially marked places' blocks, and the inputs they read."""
         if self._initial_blocks is None:
             self._initial_blocks = self._blocks(
                 (pid, False) for pid in sorted(self.initial, key=natural_key))
@@ -539,14 +573,18 @@ class _Plan:
     def ready(self, marked: frozenset) -> _Ready:
         ready = self.ready_sets.get(marked)
         if ready is None:
-            pre_p, guards = self.maps["pre_p"], []
+            pre_p, guards, reads = self.maps["pre_p"], [], frozenset()
             for tid, guard in self.transitions:
                 if pre_p[tid] <= marked:
-                    fn = self.guards.get(tid)
-                    if fn is None:
-                        fn = self.guards[tid] = compile_expr(guard)
-                    guards.append((tid, fn))
-            ready = self.ready_sets[marked] = _Ready(marked, tuple(guards))
+                    compiled = self.guards.get(tid)
+                    if compiled is None:
+                        compiled = self.guards[tid] = self._compiled(
+                            compile_expr, guard)
+                    guards.append((tid, compiled[0]))
+                    if compiled[1]:
+                        reads = reads | compiled[1]
+            ready = self.ready_sets[marked] = _Ready(
+                marked, tuple(guards), reads)
         return ready
 
     def step(self, ready: _Ready, fired_ids: tuple) -> _Step:
@@ -558,7 +596,8 @@ class _Plan:
         except UnsafeMarking as exc:
             step = _Step(fired, invalid=str(exc))
         else:
-            step = _Step(fired, marked, self._blocks(newly),
+            blocks, reads = self._blocks(newly)
+            step = _Step(fired, marked, blocks, reads,
                          not fired.isdisjoint(self.maps["sync"]))
         ready.steps[fired_ids] = step
         return step
@@ -570,6 +609,62 @@ def _plan(net: PetriNet) -> _Plan:
         plan = _Plan(net)
         object.__setattr__(net, "_cached_plan", plan)
     return plan
+
+
+def _start(net: PetriNet, state: dict):
+    """The checkpoint at tick 0, after the initial marking's updates ran
+    against the initial state with ``state`` applied, or InvalidModel."""
+    try:
+        m = initial_marking(net, state)
+    except WriteConflict as exc:
+        return InvalidModel(str(exc), 0)
+    return _Checkpoint(_plan(net).ready(m.marked), None, m.state, 0)
+
+
+def _run(plan: _Plan, at: _Checkpoint, fuel: int, known: frozenset,
+         rounds: list):
+    """The round loop, from ``at`` until the run stops (a Trace whose
+    rounds are ``rounds`` with this call's rounds appended), is invalid
+    (InvalidModel) or, before it evaluates guards or runs blocks that read
+    an input outside ``known``, pauses (the _Checkpoint where it stands).
+    ``simulate`` knows every input, so its runs never pause."""
+    ready, step, state, tick = at.ready, at.step, at.state, at.tick
+    before = state
+    while tick < fuel:
+        if step is None:
+            if not ready.reads <= known:
+                return _Checkpoint(ready, None, state, tick)
+            fired = tuple([tid for tid, guard in ready.guards if guard(state)])
+            if not fired:
+                m = Marking(ready.marked, state, tick)
+                if not ready.marked:
+                    return Trace(rounds, m, "halt", before)
+                if ready.guards:
+                    return Trace(rounds, m, "quiescent", before)
+                post_t = plan.maps["post_t"]
+                if all(not post_t.get(p) for p in ready.marked):
+                    return Trace(rounds, m, "halt", before)
+                return InvalidModel("structural starvation at a live marking",
+                                    tick)
+            step = ready.steps.get(fired) or plan.step(ready, fired)
+            if step.invalid is not None:
+                return InvalidModel(step.invalid, tick)
+            if not step.reads <= known:
+                return _Checkpoint(ready, step, state, tick)
+        after = state  # a round that writes nothing shares its state
+        if step.blocks:
+            after = dict(state)
+            try:
+                _commit_blocks(step.blocks, state, after)
+            except WriteConflict as exc:
+                return InvalidModel(str(exc), tick)
+        rounds.append(TraceRound(tick, step.fired))
+        before, state, tick = state, after, tick + 1
+        if step.sync:
+            return Trace(rounds, Marking(step.marked, state, tick), "sync",
+                         before)
+        ready, step = plan.ready(step.marked), None
+    return Trace(rounds, Marking(ready.marked, state, tick), "fuel", before)
 
 
 def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
@@ -588,44 +683,11 @@ def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
     round; ``enabled_transitions`` and ``successor_marking`` are the
     reference it agrees with.
     """
+    at = _start(net, state)
+    if isinstance(at, InvalidModel):
+        return at
     plan = _plan(net)
-    try:
-        m = initial_marking(net, state)
-    except WriteConflict as exc:
-        return InvalidModel(str(exc), 0)
-    state = before = m.state
-    ready = plan.ready(m.marked)
-    rounds = []
-    for tick in range(fuel):
-        fired = tuple([tid for tid, guard in ready.guards if guard(state)])
-        if not fired:
-            m = Marking(ready.marked, state, tick)
-            if not ready.marked:
-                return Trace(rounds, m, "halt", before)
-            if ready.guards:
-                return Trace(rounds, m, "quiescent", before)
-            if all(not net.post_transitions(p) for p in ready.marked):
-                return Trace(rounds, m, "halt", before)
-            return InvalidModel("structural starvation at a live marking",
-                                tick)
-        step = ready.steps.get(fired) or plan.step(ready, fired)
-        if step.invalid is not None:
-            return InvalidModel(step.invalid, tick)
-        after = state  # a round that writes nothing shares its state
-        if step.blocks:
-            after = dict(state)
-            try:
-                _commit_blocks(step.blocks, state, after)
-            except WriteConflict as exc:
-                return InvalidModel(str(exc), tick)
-        rounds.append(TraceRound(tick, step.fired))
-        before, state = state, after
-        if step.sync:
-            return Trace(rounds, Marking(step.marked, state, tick + 1),
-                         "sync", before)
-        ready = plan.ready(step.marked)
-    m = Marking(ready.marked, state, len(rounds))
-    return Trace(rounds, m, "fuel", before)
+    return _run(plan, at, fuel, plan.inputs, [])
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ class SfcTypeError(SfcError):
         super().__init__(f"{line}:{col}: {message}" if line else message)
 
 
+class ExprTooDeep(SfcError):
+    def __init__(self, line: int, col: int):
+        self.line = line
+        self.col = col
+        super().__init__(f"{line}:{col}: expression nested deeper than "
+                         f"{MAX_EXPR_DEPTH} levels")
+
+
 class UndeclaredVariable(SfcError):
     def __init__(self, name: str, line: int = 0, col: int = 0):
         self.name = name
@@ -299,6 +307,13 @@ _PRECEDENCE = {"||": 1, "&&": 2, "!": 3, "<": 4, "<=": 4, "=": 4, "!=": 4,
 _SPELLING = {"and": "&&", "or": "||", "not": "!"}
 _PREFIX = {"!": "!", "-": "u-"}  # prefix operator -> its precedence key
 _BINARY_OPS = _ARITH_OPS | _CMP_OPS | _BOOL_OPS
+# Most levels an expression may nest, counting each operator and each pair
+# of parentheses. Every walker of the tree (the parser, ``infer_type``,
+# ``expr_vars``, ``expr_to_str``, ``eval_expr``, ``symbolic.normalize``,
+# ``compile_expr`` and the closures it builds) takes one Python frame per
+# level, so this leaves them and their callers half of Python's default
+# recursion limit of 1,000 frames.
+MAX_EXPR_DEPTH = 500
 
 
 class _Parser:
@@ -306,6 +321,7 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.i = 0
+        self.height = 0  # height of the expression parse_expr returned
 
     def at(self, t: _Tok) -> tuple:
         """Line and column of a token."""
@@ -331,20 +347,29 @@ class _Parser:
             raise SfcSyntaxError(*self.at(t), "an identifier", t.text)
         return self.next()
 
-    def parse_expr(self, min_prec: int = 0) -> Expr:
+    def parse_expr(self, min_prec: int = 0, level: int = 1) -> Expr:
         """Precedence climbing over _PRECEDENCE, reading operators that
         bind at least ``min_prec``. A binary operator's right operand binds
         tighter than it. An operator may follow an operand of a comparison
         or a prefix operator only if it binds looser than that operator,
-        and of any other operator only if it binds no tighter."""
+        and of any other operator only if it binds no tighter.
+
+        The expression sits ``level`` levels deep; its own height is left
+        in ``self.height``. Past MAX_EXPR_DEPTH levels, from the top or
+        down the longest branch, it raises ExprTooDeep."""
         t = self.next()
+        if level > MAX_EXPR_DEPTH:
+            raise ExprTooDeep(*self.at(t))
         op = _SPELLING.get(t.text, t.text)
         ceiling = _PRECEDENCE["u-"]
+        height = 1
         if op in _PREFIX and _PRECEDENCE[_PREFIX[op]] >= min_prec:
             ceiling = _PRECEDENCE[_PREFIX[op]]
-            left = Unary(op, self.parse_expr(ceiling))
+            left = Unary(op, self.parse_expr(ceiling, level + 1))
+            height += self.height
         elif op == "(":
-            left = self.parse_expr()
+            left = self.parse_expr(0, level + 1)
+            height += self.height
             self.expect(")")
         elif t.kind == "num":
             left = IntLit(int(t.text))
@@ -359,11 +384,15 @@ class _Parser:
             op = _SPELLING.get(op, op)
             if op not in _BINARY_OPS or \
                     not min_prec <= _PRECEDENCE[op] < ceiling:
+                self.height = height
                 return left
-            self.next()
+            t = self.next()
             prec = _PRECEDENCE[op]
             ceiling = prec if op in _CMP_OPS else prec + 1
-            left = Binary(op, left, self.parse_expr(prec + 1))
+            left = Binary(op, left, self.parse_expr(prec + 1, level + 1))
+            height = max(height, self.height) + 1
+            if level + height - 1 > MAX_EXPR_DEPTH:
+                raise ExprTooDeep(*self.at(t))
 
     # -- program ------------------------------------------------------------
 

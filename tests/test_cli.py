@@ -9,7 +9,7 @@ from plccontain.benchmarks import gen_bench
 from plccontain.cli import CheckConfig, main, parse_map_file
 from plccontain.containment import ConfigError
 from plccontain.path_engine import TrackerLimitExceeded
-from plccontain.sfc_core import pretty_print
+from plccontain.sfc_core import MAX_EXPR_DEPTH, pretty_print
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 V0 = str(CORPUS / "pick_and_place_v0.sfc")
@@ -376,3 +376,47 @@ def test_mutate_initial_write_conflict(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert len(list((tmp_path / "out").glob("init_type1_s0.sfc"))) == 1
+
+
+def _deep_chart(rhs: str) -> str:
+    """A chart whose branch step s1 sets z to ``rhs`` on entry and has an
+    active block, so that its exit guards also form a self-loop guard."""
+    return ("var x : int = 0; var y : int = 0; var z : int = 0; "
+            "var g : bool = false;\nstep s0 { }\n"
+            f"step s1 {{ entry A1 {{ z := {rhs}; }} "
+            "active A2 { y := y + 1; } }\n"
+            "step s2 { entry A3 { y := z; } }\nstep s3 { }\n"
+            "trans T0 : s0 -> s1;\ntrans T1 : s1 -> s2 when g;\n"
+            "trans T2 : s1 -> s3 when !g;\ntrans T3 : s2 -> s0;\n"
+            "trans T4 : s3 -> s0;\ninit s0;\n")
+
+
+@pytest.mark.parametrize("rhs, where", [
+    (" + ".join(["x"] * 2000), "3:2025"),  # the operator after 500 terms
+    ("(" * 1200 + "x" + ")" * 1200, "3:527"),  # the 501st parenthesis
+], ids=["sum", "parentheses"])
+def test_too_deep_expression_is_one_error(tmp_path, capsys, rhs, where):
+    chart = tmp_path / "deep.sfc"
+    chart.write_text(_deep_chart(rhs))
+    assert main(["check", str(chart), str(chart),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: {chart}: {where}: expression nested deeper than "
+        f"{MAX_EXPR_DEPTH} levels"]
+
+
+@pytest.mark.parametrize("rhs", [
+    " + ".join(["x"] * MAX_EXPR_DEPTH),
+    "(" * (MAX_EXPR_DEPTH - 1) + "x" + ")" * (MAX_EXPR_DEPTH - 1),
+    "-" * (MAX_EXPR_DEPTH - 1) + "x",
+], ids=["sum", "parentheses", "negations"])
+def test_expression_at_the_depth_limit_runs(tmp_path, rhs):
+    """Every walker, and the oracle's compiled closures, handle an
+    expression MAX_EXPR_DEPTH levels deep."""
+    chart = tmp_path / "deep.sfc"
+    chart.write_text(_deep_chart(rhs))
+    assert main(["check", str(chart), str(chart),
+                 "--out", str(tmp_path / "r")]) == 0
+    # the oracle certifies the mutant against the chart
+    assert main(["mutate", str(chart), "--kind", "type2",
+                 "--out", str(tmp_path / "m")]) == 0

@@ -150,15 +150,34 @@ init s0;
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Every (net, valuation) the oracle simulates, in order."""
+    """Every (net, valuation) the run trees simulate, fresh or resumed
+    from a checkpoint, in order."""
     seen = []
-    simulate = oracle.simulate
+    resume = oracle._RunTree._resume
 
-    def spy(net, fuel, state):
-        seen.append((id(net), tuple(sorted(state.items()))))
-        return simulate(net, fuel=fuel, state=state)
+    def spy(tree, node, key, valuation):
+        seen.append((id(tree.net), tuple(sorted(valuation.items()))))
+        return resume(tree, node, key, valuation)
 
-    monkeypatch.setattr(oracle, "simulate", spy)
+    monkeypatch.setattr(oracle._RunTree, "_resume", spy)
+    return seen
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Checks every outcome the run trees give against ``run_outcome`` on
+    the same valuation; holds the number checked."""
+    seen = []
+    outcome = oracle._RunTree.outcome
+
+    def checked(tree, valuation):
+        out = outcome(tree, valuation)
+        assert out == run_outcome(tree.net, valuation, tree.common), \
+            valuation
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(oracle._RunTree, "outcome", checked)
     return seen
 
 
@@ -236,7 +255,9 @@ def test_complex_pair_simulates_each_run_once(runs):
     n0, n1 = (translate(v) for v in gen_bench("complex", 0, certify=False))
     ok, _ = confirm_equivalent(n0, n1, _port_map(n0, n1))
     assert ok
-    assert len(runs) == len(set(runs)) == 768  # 1,152 without sharing
+    # 768 simulations with one run per (net, valuation), 1,152 without
+    # sharing any run between the two directions
+    assert len(runs) == len(set(runs)) == 386
 
 
 def test_shared_runs_key_on_the_whole_valuation(runs):
@@ -247,3 +268,20 @@ def test_shared_runs_key_on_the_whole_valuation(runs):
     assert input_vars(n0) == () and input_vars(n1) == ("x",)
     f_out = {"s1": "s1"}
     assert _assert_shared_runs(runs, n0, n1, f_out) == (True, None)
+
+
+def _both_ways(n0, n1, f_out):
+    confirm_containment(n0, n1, f_out)
+    confirm_containment(n1, n0, {v: k for k, v in f_out.items()})
+
+
+def test_tree_outcomes_equal_run_outcome(compared, nets):
+    n0, n1 = nets
+    _both_ways(n0, n1, dict(PICK_PLACE_FOUT))
+    for _name, old, new in _gate0_pairs():
+        a, b = translate(old), translate(new)
+        if len(a.out_ports()) == len(b.out_ports()):
+            _both_ways(a, b, _port_map(a, b))
+    a, b = (translate(parse_sfc(text)) for text in INPUT_IN_N1_ONLY)
+    _both_ways(a, b, {"s1": "s1"})
+    assert len(compared) > 1000

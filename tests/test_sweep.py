@@ -49,15 +49,19 @@ def _mutant_pairs(seeds, ms):
     "narrow", pytest.param("wide", marks=pytest.mark.slow)])
 def test_mutant_sweep_against_oracle(sweep, monkeypatch):
     # a run that stops on fuel is skipped as "no computation to contain",
-    # so it could hide a refutation: count them
+    # so it could hide a refutation: count them. Each outcome the run
+    # trees give must also be the one a fresh run gives.
     stops = Counter()
+    outcome = oracle._RunTree.outcome
 
-    def counted(net, valuation, common):
-        out = run_outcome(net, valuation, common)
+    def counted(tree, valuation):
+        out = outcome(tree, valuation)
+        assert out == run_outcome(tree.net, valuation, tree.common), \
+            valuation
         stops[getattr(out, "stopped", "invalid")] += 1
         return out
 
-    monkeypatch.setattr(oracle, "run_outcome", counted)
+    monkeypatch.setattr(oracle._RunTree, "outcome", counted)
     refuted, renamed_common = {}, {}
     for key, n0, n1 in _mutant_pairs(*SWEEPS[sweep]):
         f_in, f_out = default_correspondences(n0, n1)
