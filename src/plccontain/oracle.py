@@ -116,6 +116,8 @@ class _RunTree:
         # positions in an outcome's state of the inputs a valuation sets
         self.fill = tuple((i, k) for i, k in enumerate(sorted(common))
                           if k in self.inputs)
+        # one copy of each equal read set, port set and (name, value) pair
+        self.shared = {}
 
     def outcome(self, valuation: dict):
         """``run_outcome(net, valuation, common)``, from the tree."""
@@ -153,12 +155,19 @@ class _RunTree:
             if isinstance(at, _Checkpoint):
                 reads = at.ready.reads if at.step is None else at.step.reads
                 new = reads - known
-                known |= new
+                known = self._share(known | new)
                 child = _Node(at, tuple(sorted(new)), known, {})
                 node.children[key] = child
                 node, key = child, tuple([valuation[n] for n in child.names])
-        node.children[key] = out = _outcome(self.net, at, self.common)
+        out = _outcome(self.net, at, self.common)
+        if not isinstance(out, InvalidModel) and out.stopped == "sync":
+            out = Outcome(self._share(out.out_ports),
+                          tuple(map(self._share, out.state)), "sync")
+        node.children[key] = out
         return out
+
+    def _share(self, value):
+        return self.shared.setdefault(value, value)
 
 
 def _contained(n0: PetriNet, n1: PetriNet, f_out: dict, ins: dict,

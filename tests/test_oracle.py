@@ -7,7 +7,7 @@ from plccontain.mutation import (MUTATION_KINDS, MutationInapplicable,
                                  MutationSpec, mutate)
 from plccontain.oracle import (OracleBudgetExceeded, confirm_containment,
                                confirm_equivalent, input_vars, run_outcome)
-from plccontain.petri_net import translate
+from plccontain.petri_net import InvalidModel, translate
 from plccontain.sfc_core import parse_sfc
 
 from conftest import JOIN_CONFLICT, PICK_PLACE_FOUT, SPLIT_FOUT
@@ -166,7 +166,7 @@ def runs(monkeypatch):
 @pytest.fixture
 def compared(monkeypatch):
     """Checks every outcome the run trees give against ``run_outcome`` on
-    the same valuation; holds the number checked."""
+    the same valuation; holds the outcomes checked."""
     seen = []
     outcome = oracle._RunTree.outcome
 
@@ -214,6 +214,7 @@ def _assert_shared_runs(runs, n0, n1, f_out):
     expected = _unshared(n0, n1, f_out)
     runs.clear()
     assert confirm_equivalent(n0, n1, f_out) == expected
+    assert runs, "no run recorded"
     assert len(runs) == len(set(runs)), "a (net, valuation) ran twice"
     return expected
 
@@ -284,4 +285,7 @@ def test_tree_outcomes_equal_run_outcome(compared, nets):
             _both_ways(a, b, _port_map(a, b))
     a, b = (translate(parse_sfc(text)) for text in INPUT_IN_N1_ONLY)
     _both_ways(a, b, {"s1": "s1"})
+    join = translate(parse_sfc(JOIN_CONFLICT))
+    _both_ways(join, join, {"s5": "s5"})
     assert len(compared) > 1000
+    assert any(isinstance(out, InvalidModel) for out in compared)
