@@ -151,7 +151,7 @@ class _RunTree:
             at = _Checkpoint(node.at.ready, node.at.step, state, node.at.tick)
         known = node.known
         while isinstance(at, _Checkpoint):
-            at = _run(self.plan, at, ORACLE_FUEL, known, [])
+            at = _run(self.plan, at, ORACLE_FUEL, known)
             if isinstance(at, _Checkpoint):
                 reads = at.ready.reads if at.step is None else at.step.reads
                 new = reads - known

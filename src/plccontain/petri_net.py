@@ -621,15 +621,14 @@ def _start(net: PetriNet, state: dict):
     return _Checkpoint(_plan(net).ready(m.marked), None, m.state, 0)
 
 
-def _run(plan: _Plan, at: _Checkpoint, fuel: int, known: frozenset,
-         rounds: list):
-    """The round loop, from ``at`` until the run stops (a Trace whose
-    rounds are ``rounds`` with this call's rounds appended), is invalid
-    (InvalidModel) or, before it evaluates guards or runs blocks that read
-    an input outside ``known``, pauses (the _Checkpoint where it stands).
-    ``simulate`` knows every input, so its runs never pause."""
+def _run(plan: _Plan, at: _Checkpoint, fuel: int, known: frozenset):
+    """The round loop, from ``at`` until the run stops (a Trace of the
+    rounds fired from ``at``), is invalid (InvalidModel) or, before it
+    evaluates guards or runs blocks that read an input outside ``known``,
+    pauses (the _Checkpoint where it stands). ``simulate`` knows every
+    input, so its runs never pause."""
     ready, step, state, tick = at.ready, at.step, at.state, at.tick
-    before = state
+    before, rounds = state, []
     while tick < fuel:
         if step is None:
             if not ready.reads <= known:
@@ -687,7 +686,7 @@ def simulate(net: PetriNet, fuel: int = DEFAULT_FUEL, state: dict = None):
     if isinstance(at, InvalidModel):
         return at
     plan = _plan(net)
-    return _run(plan, at, fuel, plan.inputs, [])
+    return _run(plan, at, fuel, plan.inputs)
 
 
 # ---------------------------------------------------------------------------
