@@ -15,7 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 from plccontain.cli import parse_map_file
 from plccontain.containment import containment_checker
-from plccontain.path_engine import path_constructor
+from plccontain.path_engine import path_constructor, path_to_dict
 from plccontain.petri_net import translate
 from plccontain.report import build_report, render_text
 from plccontain.sfc_core import parse_sfc
@@ -36,7 +36,9 @@ def main():
     print(f"path covers: {len(c0.paths)} original, {len(c1.paths)} upgrade")
     for cover in (c0, c1):
         for p in cover.paths:
-            print("  " + p.describe())
+            d = path_to_dict(p)
+            rounds = " . ".join("{" + ",".join(r) + "}" for r in d["rounds"])
+            print(f"  {d['id']}: {rounds} | R = {d['R']} | r = {d['r']}")
     f_in, f_out, hints = parse_map_file(
         (CORPUS / "pick_and_place.map").read_text())
     t0 = time.time()

@@ -317,8 +317,6 @@ class Verdict:
     bisim_degree: Fraction
     cover0: PathCover
     cover1: PathCover
-    net0: PetriNet = None
-    net1: PetriNet = None
 
 
 def bisim_degree(ledger: EquivLedger) -> Fraction:
@@ -498,4 +496,4 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
     else:
         code = VERDICT_MAY_NOT
     return Verdict(code, ledger, corr, bisim_degree(ledger), cover0,
-                   cover1, n0, n1)
+                   cover1)

@@ -48,12 +48,12 @@ round, conjoined over simultaneous transitions), its data transformation
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from ._util import PlcError, natural_key
-from .petri_net import (PetriNet, WriteConflict, _commit_blocks,
-                        _fire_structure, _maximal_disjoint_sets)
+from .petri_net import (PetriNet, _commit_blocks, _fire_structure,
+                        _maximal_disjoint_sets)
 from .symbolic import (DEFAULT_SETTINGS, EMPTY_TRANSFORM, NormSettings,
                        StateTransform, band, compose, guard_seq,
                        guard_seq_to_str, make_transform, normalize,
@@ -172,18 +172,13 @@ class Path:
     last_tick: int
     parts: tuple = ()  # original cover-path ids composing this path
 
-    def describe(self) -> str:
-        seq = " . ".join("{" + ",".join(sorted(s, key=natural_key)) + "}"
-                         for s in self.trans_seq)
-        return (f"{self.id}: {seq} | R = {guard_seq_to_str(self.guard_seq)}"
-                f" | r = {transform_to_str(self.transform)}")
-
 
 @dataclass(frozen=True)
 class PathCover:
     paths: tuple
     cut_points: CutPoints
     markings: frozenset  # markings seen while tracking (for parallelism)
+    net: PetriNet = field(compare=False, repr=False)  # the net it covers
 
     def by_id(self) -> dict:
         return {p.id: p for p in self.paths}
@@ -224,7 +219,6 @@ class _Tracker:
                            for t, ps in self.pre.items()}
         self.unsync = tuple(t.id for t in net.transitions
                             if not t.is_synchronizing)
-        self.sourceless = tuple(t for t in self.unsync if not self.pre[t])
         self.live_cache = {}  # marking -> transitions it can still enable
         # pre- and post-places, tagged apart: two transitions conflict when
         # they share a pre-place or a post-place
@@ -284,7 +278,6 @@ class _Tracker:
         marked, pairwise disjoint pre- and post-places."""
         cands = {t for p in marked for t in self.post_tr[p]
                  if t not in fired and self.pre[t] <= marked}
-        cands.update(t for t in self.sourceless if t not in fired)
         sets = _maximal_disjoint_sets(sorted(cands, key=natural_key),
                                       self.footprint)
         return sorted(sets, key=lambda s: tuple(sorted(natural_key(t)
@@ -448,7 +441,7 @@ def path_constructor(net: PetriNet, prefix: str = "p",
              for i, (key, ticks) in enumerate(tracker.records.items(), 1)]
     return PathCover(tuple(paths),
                      CutPoints(graph.statics, frozenset(cps) - graph.statics),
-                     frozenset(tracker.markings))
+                     frozenset(tracker.markings), net)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +476,9 @@ def concatenate(a: Path, b: Path,
 def merge(paths, cover: PathCover,
           settings: NormSettings = DEFAULT_SETTINGS) -> Path:
     """Fuse parallelizable paths: their pre-places are pairwise disjoint
-    and were co-marked during tracking. Rounds align by absolute tick,
-    guards conjoin, transforms union disjointly."""
+    and were co-marked during tracking. Rounds align by absolute tick, and
+    the merged rounds run as ``_finish_path`` runs any path's, so an arm
+    reads what another arm wrote in an earlier round."""
     paths = sorted(paths, key=lambda p: natural_key(p.id))
     if not paths:
         raise NotMergeable("nothing to merge")
@@ -501,39 +495,20 @@ def merge(paths, cover: PathCover,
     lo = min(p.start_tick for p in paths)
     hi = max(p.last_tick for p in paths)
     rounds = []
-    guards = []
-    transform_entries = {}
-    writers = {}
     for tick in range(lo, hi + 1):
         te = set()
-        g = BTRUE
         for p in paths:
             idx = tick - p.start_tick
             if 0 <= idx < len(p.trans_seq):
                 te |= p.trans_seq[idx]
-                g = band(g, p.guard_seq[idx], settings)
         rounds.append(frozenset(te))
-        guards.append(g)
-    for p in paths:
-        for k, v in p.transform.entries:
-            if k in transform_entries and writers[k] != p.id and \
-                    transform_entries[k] != v:
-                raise WriteConflict(
-                    f"paths {writers[k]!r} and {p.id!r} both write {k!r}")
-            transform_entries[k] = v
-            writers[k] = p.id
-
-    return Path(
-        "(" + " v ".join(p.id for p in paths) + ")",
-        tuple(rounds),
-        frozenset(all_pre),
-        frozenset().union(*[p.post_places for p in paths]),
-        guard_seq(guards),
-        make_transform(transform_entries),
-        lo,
-        hi,
-        parts=sum((p.parts for p in paths), ()),
-    )
+    net = cover.net
+    key = (tuple(rounds), frozenset(all_pre),
+           frozenset().union(*[p.post_places for p in paths]))
+    merged = _finish_path(net, net.var_env(), key, (lo, hi),
+                          "(" + " v ".join(p.id for p in paths) + ")",
+                          settings)
+    return replace(merged, parts=sum((p.parts for p in paths), ()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 
 from .sfc_core import (Expr, SfcProgram, TRUE, VarRef, IntLit,
-                       BoolLit, Unary, Binary, expr_to_str, negate,
-                       self_loop_id, QUALIFIER_ORDER)
+                       BoolLit, Unary, Binary, MAX_EXPR_DEPTH, expr_height,
+                       expr_to_str, negate, self_loop_id, QUALIFIER_ORDER)
 from .symbolic import tdiv
 from ._util import PlcError, natural_key
 
@@ -43,6 +43,12 @@ class WriteConflict(PlcError):
 
 class UnsafeMarking(Exception):
     pass
+
+
+class GuardTooDeep(PlcError):
+    def __init__(self, step_id: str):
+        super().__init__(f"self-loop guard of step {step_id!r} nests deeper "
+                         f"than {MAX_EXPR_DEPTH} levels")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +285,8 @@ def translate(prog: SfcProgram) -> PetriNet:
     sets, and initial steps become the initial marking. A step whose
     ``active`` body modifies state gets the self-loop sub-net: transition
     ``<step>__u`` looping on the place, enabled under the negation of the
-    disjunction of the step's exit guards.
+    disjunction of the step's exit guards. That guard nests one level per
+    exit, and one deeper than ``MAX_EXPR_DEPTH`` raises GuardTooDeep.
     """
     places = []
     transitions = []
@@ -300,11 +307,13 @@ def translate(prog: SfcProgram) -> PetriNet:
         places.append(Place(step.id, written, tuple(full), tuple(on_mark),
                             tuple(on_loop)))
         if on_loop and step.id in outgoing:
-            cond = reduce(partial(Binary, "||"),
-                          [tr.guard for tr in outgoing[step.id]])
+            guard = negate(reduce(partial(Binary, "||"),
+                                  [tr.guard for tr in outgoing[step.id]]))
+            if expr_height(guard) > MAX_EXPR_DEPTH:
+                raise GuardTooDeep(step.id)
             uid = self_loop_id(step.id)
             transitions.append(PnTransition(
-                uid, negate(cond), is_synchronizing={step.id} == init))
+                uid, guard, is_synchronizing={step.id} == init))
             input_arcs.add((step.id, uid))
             output_arcs.add((uid, step.id))
 

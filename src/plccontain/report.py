@@ -41,6 +41,7 @@ def build_report(verdict: Verdict) -> dict:
     led = verdict.ledger
     by0 = verdict.cover0.by_id()
     by1 = verdict.cover1.by_id()
+    net0, net1 = verdict.cover0.net, verdict.cover1.net
     un0 = sorted((pid for pid, _ in led.unmatched0), key=natural_key)
     un1 = sorted((pid for pid, _ in led.unmatched1), key=natural_key)
     clause0 = dict(led.unmatched0)
@@ -60,21 +61,18 @@ def build_report(verdict: Verdict) -> dict:
         "bisim_degree": f"{frac.numerator}/{frac.denominator}",
         "bisim_degree_decimal": float(frac),
         "correspondences": corr_doc,
-        "matched": [{"n0": _path_dict(a, verdict.net0),
-                     "n1": _path_dict(b, verdict.net1)}
+        "matched": [{"n0": _path_dict(a, net0), "n1": _path_dict(b, net1)}
                     for a, b in led.pairs],
-        "paths_n0": [_path_dict(p, verdict.net0)
-                     for p in verdict.cover0.paths],
-        "paths_n1": [_path_dict(p, verdict.net1)
-                     for p in verdict.cover1.paths],
+        "paths_n0": [_path_dict(p, net0) for p in verdict.cover0.paths],
+        "paths_n1": [_path_dict(p, net1) for p in verdict.cover1.paths],
         "schema_version": SCHEMA_VERSION,
         "unmatched_n0": un0,
         "unmatched_n0_detail": [{"clause": clause0[pid], "id": pid,
-                                 "path": _path_dict(by0[pid], verdict.net0)}
+                                 "path": _path_dict(by0[pid], net0)}
                                 for pid in un0],
         "unmatched_n1": un1,
         "unmatched_n1_detail": [{"clause": clause1[pid], "id": pid,
-                                 "path": _path_dict(by1[pid], verdict.net1)}
+                                 "path": _path_dict(by1[pid], net1)}
                                 for pid in un1],
         "verdict": verdict.code,
         "verdict_line": _VERDICT_LINES[verdict.code],

@@ -134,6 +134,20 @@ def expr_vars(e: Expr) -> frozenset:
     return frozenset()
 
 
+def expr_height(e: Expr) -> int:
+    """Levels of an expression tree, one per node. Iterative, so it measures
+    a tree of any height."""
+    height, todo = 0, [(e, 1)]
+    while todo:
+        node, level = todo.pop()
+        height = max(height, level)
+        if isinstance(node, Unary):
+            todo.append((node.operand, level + 1))
+        elif isinstance(node, Binary):
+            todo += [(node.left, level + 1), (node.right, level + 1)]
+    return height
+
+
 def infer_type(e: Expr, env: dict) -> str:
     """Return 'int' or 'bool'; raise on ill-typed trees or unknown names."""
     if isinstance(e, IntLit):

@@ -74,9 +74,6 @@ class IntNorm:
             return 0
         return self.terms[0][1]
 
-    def __str__(self):
-        return int_to_str(self)
-
 
 @dataclass(frozen=True)
 class DivAtom:
@@ -341,9 +338,6 @@ class BoolNorm:
     @property
     def kind(self) -> str:
         return "bool"
-
-    def __str__(self):
-        return bool_to_str(self)
 
 
 BTRUE = BoolNorm((), frozenset([0]))
@@ -671,9 +665,6 @@ class StateTransform:
 
     def is_empty(self) -> bool:
         return not self.entries and self.consistent
-
-    def __str__(self):
-        return transform_to_str(self)
 
 
 EMPTY_TRANSFORM = StateTransform(())

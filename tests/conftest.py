@@ -43,6 +43,31 @@ trans T4 : s3 -> {s0, s1};
 init {s0, s1};
 """
 
+# arm B's block on b1 reads x one round after arm A's block on a1 wrote it
+SHARED_ARMS_N1 = """
+var start : bool = true; var x : int = 0; var y : int = 0;
+var c : int = 0; var cp : int = 0;
+step s0 { } step s1 { entry I { c := 0; cp := 0; } } step e { }
+step ha { } step a1 { entry A { x := x + 1; c := c + 1; } } step a2 { }
+step hb { } step b0 { } step b1 { entry B { y := x; cp := cp + 1; } }
+trans T0 : s0 -> s1 when start; trans T1 : s1 -> {ha, hb};
+trans Tai : ha -> a1 when c < 1; trans Ta2 : a1 -> a2; trans Tab : a2 -> ha;
+trans Tbi : hb -> b0 when cp < 1; trans Tb1 : b0 -> b1;
+trans Tbb : b1 -> hb;
+trans Tout : {ha, hb} -> e when !(c < 1) && !(cp < 1);
+trans Tend : e -> s0; init s0;
+"""
+
+# one sequential loop whose body reads x before it increments it
+SHARED_ARMS_N0 = """
+var start : bool = true; var x : int = 0; var y : int = 0; var c : int = 0;
+step s0 { } step s1 { entry I { c := 0; } } step e { }
+step h { } step body { entry B { y := x; x := x + 1; c := c + 1; } }
+trans T0 : s0 -> s1 when start; trans T1 : s1 -> h;
+trans Tin : h -> body when c < 1; trans Tback : body -> h;
+trans Tout : h -> e when !(c < 1); trans Tend : e -> s0; init s0;
+"""
+
 
 @pytest.fixture(scope="session")
 def pick_place_v0():

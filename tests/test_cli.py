@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 from conftest import INITIAL_CONFLICT, JOIN_CONFLICT
 
 from plccontain import cli
@@ -420,3 +425,87 @@ def test_expression_at_the_depth_limit_runs(tmp_path, rhs):
     # the oracle certifies the mutant against the chart
     assert main(["mutate", str(chart), "--kind", "type2",
                  "--out", str(tmp_path / "m")]) == 0
+
+
+def many_exit_chart(n: int) -> str:
+    """Step s0 has an active body and n exits ``x = i``, so the self-loop
+    guard ``translate`` builds nests one level per exit."""
+    lines = ["var x : int = 0; var y : int = 0;",
+             "step s0 { active A { y := y + 1; } }"]
+    for i in range(n):
+        lines += [f"step t{i} {{ }}", f"trans T{i} : s0 -> t{i} when x = {i};",
+                  f"trans R{i} : t{i} -> s0;"]
+    return "\n".join(lines + ["init s0;"]) + "\n"
+
+
+def test_long_self_loop_guard_is_one_error(tmp_path, capsys):
+    """The guard !(x = 0 || ... || x = n-1) is n + 2 levels deep: at the
+    limit it translates, one exit more is one error line from every
+    command that translates."""
+    fits = tmp_path / "fits.sfc"
+    fits.write_text(many_exit_chart(MAX_EXPR_DEPTH - 2))
+    assert main(["translate", str(fits)]) == 0
+    capsys.readouterr()
+    for n in (MAX_EXPR_DEPTH - 1, 1200):
+        deep = tmp_path / f"deep{n}.sfc"
+        deep.write_text(many_exit_chart(n))
+        for argv in (["translate", str(deep)], ["paths", str(deep)],
+                     ["check", str(deep), str(deep), "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            assert _error_lines(capsys.readouterr().err) == [
+                f"error: self-loop guard of step 's0' nests deeper than "
+                f"{MAX_EXPR_DEPTH} levels"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any input ends in a verdict or in one error line
+
+CORPUS_TEXTS = [p.read_bytes() for p in sorted(CORPUS.glob("*.sfc"))]
+
+
+@st.composite
+def _spliced_corpus(draw) -> bytes:
+    """A corpus file cut at a random point, then joined to the tail of a
+    corpus file from another random point (empty for a plain cut)."""
+    head, tail = (draw(st.sampled_from(CORPUS_TEXTS)) for _ in range(2))
+    cut = draw(st.integers(0, len(head)))
+    rest = draw(st.one_of(st.just(len(tail)), st.integers(0, len(tail))))
+    return head[:cut] + tail[rest:]
+
+
+def _nested(kind: str, depth: int) -> bytes:
+    rhs = {"sum": " + ".join(["x"] * depth),
+           "parentheses": "(" * depth + "x" + ")" * depth,
+           "negations": "-" * depth + "x"}[kind]
+    return _deep_chart(rhs).encode()
+
+
+_FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=300),
+    _spliced_corpus(),
+    st.builds(_nested, st.sampled_from(["sum", "parentheses", "negations"]),
+              st.integers(1, 5000)),
+    st.builds(lambda n: many_exit_chart(n).encode(), st.integers(1, 1200)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(chart=_FUZZ_INPUTS,
+       command=st.sampled_from(["check", "paths", "translate"]))
+def test_cli_fuzz_exits_cleanly(chart, command):
+    """Random bytes, cut and spliced corpus files, expressions nested up to
+    5,000 deep and steps with up to 1,200 exits: every command exits 0, 1
+    or 2, and stderr is empty or one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.sfc"
+        path.write_bytes(chart)
+        argv = [command, str(path)]
+        if command == "check":
+            argv += [str(path), "--out", str(pathlib.Path(tmp) / "r")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:"))

@@ -16,7 +16,8 @@ from plccontain.path_engine import concatenate
 from plccontain.petri_net import translate
 from plccontain.report import build_report, render_text
 
-from conftest import PICK_PLACE_FOUT, SPLIT_FOUT
+from conftest import (PICK_PLACE_FOUT, SHARED_ARMS_N0, SHARED_ARMS_N1,
+                      SPLIT_FOUT)
 
 F_IN = {"s0": "s0"}
 
@@ -236,6 +237,23 @@ def test_split_variant_not_established(nets, pick_place_split):
     v = containment_checker(n0, n2, dict(F_IN), dict(SPLIT_FOUT))
     assert v.code == "MAY_NOT_BE_EQUIVALENT"
     assert 1 - float(v.bisim_degree) > 0.5
+
+
+def test_arm_reading_the_other_arms_write_is_not_matched():
+    """N1's arm B reads x one round after arm A wrote it, while N0's loop
+    body reads x before writing it. The merged arms write y := x + 1, so
+    they do not match N0's body, and the oracle refutes both directions."""
+    from plccontain.sfc_core import parse_sfc
+
+    n0, n1 = (translate(parse_sfc(text))
+              for text in (SHARED_ARMS_N0, SHARED_ARMS_N1))
+    v = containment_checker(n0, n1)
+    assert v.code == "MAY_NOT_BE_EQUIVALENT"
+    assert ("a2", "(b2 v b3.b5)") not in \
+        [(a.id, b.id) for a, b in v.ledger.pairs]
+    f_out = v.correspondences.f_out
+    assert not confirm_containment(n0, n1, f_out)[0]
+    assert not confirm_containment(n1, n0, {b: a for a, b in f_out.items()})[0]
 
 
 def test_verdict_emptiness_law(verdict, nets):

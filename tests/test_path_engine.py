@@ -2,10 +2,14 @@ import json
 import random
 
 import pytest
-from conftest import JOIN_CONFLICT
+from conftest import (JOIN_CONFLICT, PICK_PLACE_FOUT, SHARED_ARMS_N0,
+                      SHARED_ARMS_N1, SPLIT_FOUT)
 
+from plccontain import containment
+from plccontain._util import PlcError
 from plccontain import symbolic as sy
 from plccontain.benchmarks import CLASSES, gen_bench
+from plccontain.containment import compare_paths
 from plccontain.path_engine import (NotComposable, NotMergeable, concatenate,
                                     _Tracker, cover_to_json, cycle_places,
                                     merge, path_constructor,
@@ -14,7 +18,8 @@ from plccontain.petri_net import (InvalidModel, Marking, Place,
                                   PnTransition, PetriNet, WriteConflict,
                                   enabled_transitions, initial_marking,
                                   simulate, successor_marking)
-from plccontain.sfc_core import TRUE, Binary, IntLit, VarRef, parse_sfc
+from plccontain.sfc_core import (TRUE, Binary, IntLit, VarRef, parse_sfc,
+                                 validate_sfc)
 from plccontain.petri_net import translate
 
 
@@ -188,14 +193,57 @@ def test_memoised_cover_equals_full_walk(monkeypatch, pick_place_v0,
              pick_place_split]
     progs += [v for cls in CLASSES for v in gen_bench(cls, 0, certify=False)]
     nets = [translate(prog) for prog in progs]
-
-    def outcome(net):
-        cover = path_constructor(net)
-        return cover_to_json(cover), cover.cut_points, cover.markings
-
-    memoised = [outcome(net) for net in nets]
+    memoised = [_cover_outcome(net) for net in nets]
     monkeypatch.setattr(_Tracker, "_tokens", lambda *_: object())
-    assert [outcome(net) for net in nets] == memoised
+    assert [_cover_outcome(net) for net in nets] == memoised
+
+
+def _cover_outcome(net):
+    """The cover, cut-points and markings, or the error that stopped the
+    cover."""
+    try:
+        cover = path_constructor(net)
+    except PlcError as exc:
+        return type(exc).__name__, str(exc)
+    return cover_to_json(cover), cover.cut_points, cover.markings
+
+
+_GUARDS = ("true", "x < 2", "x = 1", "!(x = 1)", "b", "!b")
+_UPDATES = ("x := x + 1;", "x := 0;", "b := !b;", "y := x;")
+
+
+def random_chart(seed: int) -> str:
+    """A seeded random chart: 3-9 steps, each block qualifier on a step
+    with chance 0.3, n - 1 to 2n transitions with one or two sources and
+    targets, and s0 initial. Many are invalid (an unreachable step)."""
+    rng = random.Random(seed)
+    steps = [f"s{i}" for i in range(rng.randint(3, 9))]
+    lines = ["var x : int = 0; var y : int = 0; var b : bool = false;"]
+    for s in steps:
+        blocks = "".join(
+            f" {q} {q[0].upper()}{s} {{ {rng.choice(_UPDATES)} }}"
+            for q in ("entry", "active", "exit") if rng.random() < 0.3)
+        lines.append(f"step {s} {{{blocks} }}")
+    for i in range(rng.randint(len(steps) - 1, 2 * len(steps))):
+        src, tgt = (", ".join(rng.sample(steps, rng.randint(1, 2)))
+                    for _ in range(2))
+        lines.append(f"trans T{i} : {{{src}}} -> {{{tgt}}} "
+                     f"when {rng.choice(_GUARDS)};")
+    return "\n".join(lines + ["init s0;"]) + "\n"
+
+
+@pytest.mark.parametrize("seeds", [
+    range(300), pytest.param(range(1000), marks=pytest.mark.slow)],
+    ids=["narrow", "wide"])
+def test_memoised_cover_equals_full_walk_on_random_charts(monkeypatch,
+                                                          seeds):
+    """The memo's differential test on the valid charts among seeded
+    random ones (about one in six)."""
+    progs = [parse_sfc(random_chart(seed)) for seed in seeds]
+    nets = [translate(prog) for prog in progs if not validate_sfc(prog)]
+    memoised = [_cover_outcome(net) for net in nets]
+    monkeypatch.setattr(_Tracker, "_tokens", lambda *_: object())
+    assert [_cover_outcome(net) for net in nets] == memoised
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +445,15 @@ def test_round_write_conflict_matches_simulate():
     assert str(exc.value) == invalid.reason
 
 
-def _replayed_paths(net, cover) -> int:
-    """Replay each path of `cover` concretely through `successor_marking`
-    from the first of 40 seeded random states that enables all of its
-    rounds, and check every variable against `eval_norm` of the path's
-    transform. Returns how many paths were replayed."""
+def _replayed_paths(net, paths) -> int:
+    """Replay each of `paths` concretely through `successor_marking` from
+    the first of 100 seeded random states that enables all of its rounds,
+    and check every variable against `eval_norm` of the path's transform.
+    Returns how many paths were replayed."""
     rng = random.Random(5)
     checked = 0
-    for path in cover.paths:
-        for _ in range(40):
+    for path in paths:
+        for _ in range(100):
             state = {v.name: (rng.randint(0, 3) if v.kind == "int"
                               else rng.random() < 0.5) for v in net.vars}
             m = Marking(path.pre_places, dict(state), 0)
@@ -436,7 +484,52 @@ def test_replay_reproduces_transform(covers, nets):
                 charts.append((net, path_constructor(net)))
     for net, cover in charts:
         # a path may need a state the random draws miss, but few do
-        assert _replayed_paths(net, cover) >= len(cover.paths) - 1
+        assert _replayed_paths(net, cover.paths) >= len(cover.paths) - 1
+
+
+def test_replay_every_compared_path(monkeypatch, nets, pick_place_split):
+    """Every path the matcher compares, extended and merged ones included,
+    replays to its transform, on the corpus pairs, the shared-arms pair
+    and generated pairs."""
+    compared = {}  # net id -> (net, {path id: path})
+
+    def spy(alpha, beta, corr, n0, n1, settings=sy.DEFAULT_SETTINGS):
+        for net, path in ((n0, alpha), (n1, beta)):
+            compared.setdefault(id(net), (net, {}))[1][path.id] = path
+        return compare_paths(alpha, beta, corr, n0, n1, settings)
+
+    monkeypatch.setattr(containment, "compare_paths", spy)
+    n0, n1 = nets
+    f_in = {"s0": "s0"}
+    pairs = [(n0, n1, f_in, PICK_PLACE_FOUT),
+             (n0, translate(pick_place_split), f_in, SPLIT_FOUT),
+             (translate(parse_sfc(SHARED_ARMS_N0)),
+              translate(parse_sfc(SHARED_ARMS_N1)), None, None)]
+    for cls in CLASSES:
+        for seed in range(3):
+            v0, v1 = gen_bench(cls, seed, certify=False)
+            pairs.append((translate(v0), translate(v1), None, None))
+    for a, b, f_in, f_out in pairs:
+        containment.containment_checker(a, b, f_in, f_out)
+    for net, paths in compared.values():
+        paths = list(paths.values())
+        assert _replayed_paths(net, paths) >= len(paths) - 1
+
+
+def test_merged_arm_reads_the_other_arms_write():
+    """Arm B reads x one round after arm A wrote it: the merged path runs
+    its rounds as the simulator does, so y ends at the incremented x."""
+    net = translate(parse_sfc(SHARED_ARMS_N1))
+    cover = path_constructor(net, prefix="b")
+    by = cover.by_id()
+    merged = merge([by["b2"], concatenate(by["b3"], by["b5"])], cover)
+    assert merged.trans_seq == (frozenset(["Tai", "Tbi"]),
+                                frozenset(["Tb1"]))
+    assert merged.parts == ("b2", "b3", "b5")
+    assert _replayed_paths(net, [merged]) == 1
+    env = net.var_env()
+    assert merged.transform.get("y") == sy.normalize(
+        Binary("+", VarRef("x"), IntLit(1)), env)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from plccontain.petri_net import (ConflictingFire, EvalError, InvalidModel,
                                   net_to_json, simulate,
                                   successor_marking, translate)
 from plccontain._util import natural_key
-from plccontain.sfc_core import (_PRECEDENCE, Binary, BoolLit, IntLit, TRUE,
-                                 FALSE, Unary, VarDecl, VarRef, parse_sfc)
+from plccontain.sfc_core import (_PRECEDENCE, Binary, BoolLit, Expr, IntLit,
+                                 TRUE, FALSE, Unary, VarDecl, VarRef,
+                                 parse_sfc)
 
 
 def _mini_net(guards=None, arcs=None, places=("p0", "p1"), init=("p0",),
@@ -323,6 +324,17 @@ def test_compiled_division_by_zero_message():
         compile_expr(e)(state)
     assert str(got.value) == str(ref.value) == \
         "division by zero in x / (y - y)"
+
+
+@pytest.mark.parametrize("e", [Expr(), Binary("%", VarRef("x"), IntLit(2))],
+                         ids=["node", "operator"])
+def test_compiled_error_on_unparsed_trees_matches_eval_expr(e):
+    """A node and an operator the parser never builds: compiling succeeds,
+    and running fails with eval_expr's message."""
+    state = {"x": 4}
+    run = compile_expr(e)
+    assert _outcome(run, state) == _outcome(eval_expr, e, state)
+    assert _outcome(run, state)[1].startswith("cannot evaluate ")
 
 
 def test_compiled_short_circuit_skips_zero_division():
