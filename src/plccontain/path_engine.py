@@ -2,19 +2,19 @@
 
 Paths run from cut-points to cut-points without intermediary ones. Loops
 are those of the place graph without synchronizing transitions, found by
-one depth-first search: a loop entry is the target of an edge back into
-the search path, and a place on a loop lies on a directed cycle. Static
+one depth-first search: a loop entry is the target of an edge back into the
+search path, and a place on a loop lies on a directed cycle. Static
 cut-points are the initially marked places, places with several
-post-transitions, loop entries, and out-ports. Execution cut-points
-are added during a structural token-tracking pass: whenever the marking
-reached after a firing round touches a known cut-point or a place on a
-loop, leaves a loop, or holds tokens produced at different ticks, every
-place of that marking becomes a cut-point and one path per marked place is
-reconstructed backward through the producers of its tokens. Tracking
-explores every alternative maximal firing set, traverses each loop once (a
-transition never fires twice on one branch), and never fires
-synchronizing transitions. Passes repeat until the cut-point set
-stabilizes.
+post-transitions, loop entries, and out-ports. Execution cut-points are
+added during a structural token-tracking pass: whenever the marking reached
+after a firing round touches a known cut-point or a place on a loop, leaves
+a loop, or holds tokens produced at different ticks, every place of that
+marking becomes a cut-point and the productions holding its tokens are
+noted. Tracking explores every alternative maximal firing set, traverses
+each loop once (a transition never fires twice on one branch), and never
+fires synchronizing transitions. Passes repeat until the cut-point set
+stabilizes; then each production noted in the final pass is walked back
+once, through its producers, into a path.
 
 Tracking is a depth-first walk on an explicit stack, memoised on local
 state. Below every node with two or more structural sets, each child is
@@ -29,16 +29,15 @@ keyed by
 A child whose key was already explored in this pass is skipped with its
 subtree. The key fixes all the subtree does: the sets it fires (marking and
 the relevant fired transitions), its cut-point hits (marking and tick
-differences) and its backward walks, which leave the subtree only through
-the producers of the marked places. In the final pass the cut-point set
-stays constant, so a skipped subtree could only rediscover records already
-found (whose tick stamps the first discovery fixes), markings already seen
-and no new cut-points: the cover equals that of the full walk. In earlier
-passes a skip can only delay a cut-point to a later pass. The hit test is
-monotone in the cut-point set, and a pass that adds nothing is a fixpoint
-of the full walk, so the passes end at the same set. Keys are checked only
-below branching nodes, where two routes can meet, and cone ids are interned
-only for keys, so straight runs pay nothing.
+differences) and the cones of the productions it notes. In the final pass
+the cut-point set stays constant, so a skipped subtree could only note
+routes already found and markings already seen: the cover equals that of
+the full walk. In earlier passes a skip can only delay a cut-point to a
+later pass. The hit test is monotone in the cut-point set, and a pass that
+adds nothing is a fixpoint of the full walk, so the passes end at the same
+set. Keys are checked only below branching nodes, where two routes can
+meet, and cone ids are interned only for keys, so straight runs pay
+nothing.
 
 Each path carries its execution condition (one normalized guard entry per
 round, conjoined over simultaneous transitions), its data transformation
@@ -227,9 +226,9 @@ class _Tracker:
                           for t in self.pre}
 
     def run(self, cps: set):
-        """One tracking pass; grows `cps` in place."""
+        """One tracking pass; grows `cps` in place, notes hit productions."""
         self.cps = cps
-        self.records = {}  # key -> (start tick, last tick), in discovery order
+        self.hits = {}  # production -> None, in first-hit order
         self.cones = {}  # cone signature -> interned id
         m0 = self.net.initial_marking
         self.markings = {m0}
@@ -268,7 +267,7 @@ class _Tracker:
                     continue
                 seen.add(key)
             self.markings.add(new_marked)
-            self._mark_and_build(new_marked, te, producers2, tick + 1)
+            self._hit(new_marked, te, producers2)
             sets = self._structural_sets(new_marked, fired)
             stack.append([sets[::-1], new_marked, producers2, te,
                           len(sets) > 1])
@@ -335,9 +334,9 @@ class _Tracker:
             self.live_cache[marked] = live
         return live
 
-    # cut-points and paths --------------------------------------------------
+    # cut-points and routes -------------------------------------------------
 
-    def _mark_and_build(self, marking, te, producers, depth):
+    def _hit(self, marking, te, producers):
         cycles = self.cycles
         ticks = {producers[p].tick if p in producers else None
                  for p in marking}  # None: an initial token
@@ -351,18 +350,18 @@ class _Tracker:
         self.cps |= marking
         for p in sorted(marking, key=natural_key):
             if p in producers:
-                self._build_backward(producers[p], depth)
+                self.hits.setdefault(producers[p])
 
-    def _build_backward(self, target: _Prod, depth: int):
-        """Walk producer cones back to the nearest cut-points. Each
-        production is visited once (rounds and pre-places are sets), so
-        the walk takes at most one step per firing in the history; the
-        bound below only guards that invariant."""
+    def _walk_back(self, target: _Prod):
+        """`target`'s route back to the cut-points (rounds, pre- and
+        post-places) and its first and last tick. A walk visits each
+        production once, at most one per place and round up to
+        `target.tick`; the bound below only guards that invariant."""
         rounds = {}
         pre = set()
         frontier = [target]
         visited = {target}
-        limit = depth * len(self.net.places) + 16
+        limit = (target.tick + 1) * len(self.net.places) + 16
         while frontier:
             prod = frontier.pop()
             rounds.setdefault(prod.tick, set()).add(prod.t)
@@ -379,10 +378,7 @@ class _Tracker:
         ordered = sorted(rounds)
         trans_seq = tuple(frozenset(rounds[k]) for k in ordered)
         post = frozenset().union(*[self.post[t] for t in trans_seq[-1]])
-        # tick stamps come from the first traversal that discovers the
-        # route; later branches (e.g. zero-iteration loop exits) reuse it
-        self.records.setdefault((trans_seq, frozenset(pre), post),
-                                (ordered[0], ordered[-1]))
+        return (trans_seq, frozenset(pre), post), (ordered[0], ordered[-1])
 
 
 def _place_writes(settings: NormSettings, updates, env: dict) -> dict:
@@ -425,10 +421,11 @@ def _finish_path(net: PetriNet, env: dict, key, ticks, pid: str,
 
 def path_constructor(net: PetriNet, prefix: str = "p",
                      settings: NormSettings = DEFAULT_SETTINGS) -> PathCover:
-    """Build the path cover by repeated token-tracking passes until the
-    cut-point set stabilizes; paths come from the final pass only. A pass
-    that changes the set adds a place to it, so there are at most
-    ``len(net.places) + 1`` passes."""
+    """Build the path cover by token-tracking passes until the cut-point
+    set stabilizes, then walk back once from each production the final
+    pass noted, in first-hit order; a walk depends only on its production
+    and the set, which that pass leaves as it was. Each pass but the last
+    adds a place to the set: at most ``len(net.places) + 1`` passes."""
     graph = _PlaceGraph(net)
     cps = set(graph.statics)
     tracker = _Tracker(net, graph)
@@ -436,9 +433,12 @@ def path_constructor(net: PetriNet, prefix: str = "p",
     while cps != before:
         before = set(cps)
         tracker.run(cps)
+    records = {}  # route -> tick stamps of its first walk
+    for route, ticks in map(tracker._walk_back, tracker.hits):
+        records.setdefault(route, ticks)
     env = net.var_env()
     paths = [_finish_path(net, env, key, ticks, f"{prefix}{i}", settings)
-             for i, (key, ticks) in enumerate(tracker.records.items(), 1)]
+             for i, (key, ticks) in enumerate(records.items(), 1)]
     return PathCover(tuple(paths),
                      CutPoints(graph.statics, frozenset(cps) - graph.statics),
                      frozenset(tracker.markings), net)

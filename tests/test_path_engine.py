@@ -198,6 +198,37 @@ def test_memoised_cover_equals_full_walk(monkeypatch, pick_place_v0,
     assert [_cover_outcome(net) for net in nets] == memoised
 
 
+def test_paths_are_walked_once_after_the_fixpoint(monkeypatch, pick_place_v0,
+                                                  pick_place_v1,
+                                                  pick_place_split):
+    """Tracking passes only find cut-points: every backward walk starts
+    after the last pass ends, and no production is walked twice."""
+    events = []
+    run, walk = _Tracker.run, _Tracker._walk_back
+
+    def spy_run(self, cps):
+        events.append("pass")
+        run(self, cps)
+        events.append("end")
+
+    def spy_walk(self, target, *args):
+        events.append(target)
+        return walk(self, target, *args)
+
+    monkeypatch.setattr(_Tracker, "run", spy_run)
+    monkeypatch.setattr(_Tracker, "_walk_back", spy_walk)
+    progs = [pick_place_v0, pick_place_v1, pick_place_split]
+    progs += [v for cls in CLASSES for v in gen_bench(cls, 0, certify=False)]
+    for prog in progs:
+        events.clear()
+        path_constructor(translate(prog))
+        last_end = len(events) - events[::-1].index("end")
+        walks = events[last_end:]
+        assert walks and "pass" not in walks
+        assert len(set(walks)) == len(walks)
+        assert all(isinstance(e, str) for e in events[:last_end])
+
+
 def _cover_outcome(net):
     """The cover, cut-points and markings, or the error that stopped the
     cover."""
