@@ -91,6 +91,24 @@ def validate_bijections(n0: PetriNet, n1: PetriNet, f_in: dict,
         raise ConfigError("f_out is not a bijection over out-ports")
 
 
+def _check_hints(env0: dict, env1: dict, hints) -> None:
+    """Each ``var`` hint pairs a variable of N0 with one of N1 of the same
+    kind, and pairs each variable at most once."""
+    seen0, seen1 = set(), set()
+    for a, b in hints:
+        checks = ((a not in env0, f"{a!r} is not a variable of N0"),
+                  (b not in env1, f"{b!r} is not a variable of N1"),
+                  (env0.get(a) != env1.get(b),
+                   f"{a!r} is {env0.get(a)} but {b!r} is {env1.get(b)}"),
+                  (a in seen0, f"{a!r} is already paired"),
+                  (b in seen1, f"{b!r} is already paired"))
+        for bad, why in checks:
+            if bad:
+                raise ConfigError(f"var hint {a} = {b}: {why}")
+        seen0.add(a)
+        seen1.add(b)
+
+
 # ---------------------------------------------------------------------------
 # path comparison
 
@@ -382,6 +400,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         f_in = f_in or auto_in
         f_out = f_out or auto_out
     validate_bijections(n0, n1, f_in, f_out)
+    _check_hints(n0.var_env(), n1.var_env(), eta_v_hints)
 
     cover0 = cover0 or path_constructor(n0, prefix="a", settings=settings)
     cover1 = cover1 or path_constructor(n1, prefix="b", settings=settings)

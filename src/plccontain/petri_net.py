@@ -98,18 +98,12 @@ class PetriNet:
             post_t.setdefault(p, set()).add(t)
         for t, p in self.output_arcs:
             post_p.setdefault(t, set()).add(p)
-        self_loops = {}
-        for t in self.transitions:
-            pre = frozenset(pre_p[t.id])
-            if len(pre) == 1 and pre == frozenset(post_p[t.id]):
-                self_loops[next(iter(pre))] = t.id
         cache = {
             "pre_p": {k: frozenset(v) for k, v in pre_p.items()},
             "post_p": {k: frozenset(v) for k, v in post_p.items()},
             "post_t": {k: frozenset(v) for k, v in post_t.items()},
             "place_map": {p.id: p for p in self.places},
             "trans_map": {t.id: t for t in self.transitions},
-            "self_loops": self_loops,
             "sync": frozenset(t.id for t in self.transitions
                               if t.is_synchronizing),
         }
@@ -375,7 +369,8 @@ def _commit_blocks(blocks, before, after: dict) -> None:
 def _fire_structure(maps: dict, marked: frozenset, fired):
     """The part of a round that no state decides: the successor marking,
     and the newly marked places in natural order, each with whether its
-    own self-loop re-marked it. Raises ConflictingFire on a shared
+    own self-loop ``self_loop_id(p)`` re-marked it (an SFC transition from
+    a step to itself is ordinary). Raises ConflictingFire on a shared
     pre-place and UnsafeMarking on a second token in a place."""
     pre_p, post_p = maps["pre_p"], maps["post_p"]
     order = sorted(frozenset(fired), key=natural_key)
@@ -396,9 +391,8 @@ def _fire_structure(maps: dict, marked: frozenset, fired):
             if p in survivors:
                 raise UnsafeMarking(f"token pushed into marked place {p!r}")
             newly[p] = tid
-    self_loops = maps["self_loops"]
     return survivors | frozenset(newly), [
-        (p, self_loops.get(p) == newly[p])
+        (p, newly[p] == self_loop_id(p))
         for p in sorted(newly, key=natural_key)]
 
 

@@ -152,6 +152,33 @@ def test_check_bad_map_exit_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("hints, why", [
+    (["nosuch = alsonot"], "'nosuch' is not a variable of N0"),
+    (["I = nosuch"], "'nosuch' is not a variable of N1"),
+    (["I = WAIT"], "'I' is int but 'WAIT' is bool"),
+    (["I = J", "I = I"], "'I' is already paired"),
+    (["I = J", "Fixer = J"], "'J' is already paired"),
+])
+def test_check_rejects_bad_var_hints(tmp_path, capsys, hints, why):
+    bad = tmp_path / "hints.map"
+    bad.write_text(pathlib.Path(MAP).read_text()
+                   + "".join(f"var {h}\n" for h in hints))
+    rc = main(["check", V0, V1, "--map", str(bad),
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: var hint {hints[-1]}: {why}"]
+
+
+def test_check_keeps_a_valid_var_hint(tmp_path):
+    hinted = tmp_path / "hinted.map"
+    hinted.write_text(pathlib.Path(MAP).read_text() + "var I = J\n")
+    rc = main(["check", V0, V1, "--map", str(hinted),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "I (N0) ~ J (N1)" in (tmp_path / "report.txt").read_text()
+
+
 def test_translate_json(capsys):
     rc = main(["translate", V0])
     assert rc == 0

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 from plccontain.benchmarks import CLASSES, gen_bench
 from plccontain.oracle import input_vars
+from plccontain.path_engine import cover_to_json, path_constructor
 from plccontain.petri_net import (ConflictingFire, EvalError, InvalidModel,
                                   Marking, NotEnabled, Place, PnTransition,
                                   PetriNet, Trace, UnsafeMarking,
@@ -104,6 +105,34 @@ def test_self_loop_guard_negates_every_exit():
     loop_u = next(t for t in translate(prog).transitions if t.id == "s1__u")
     assert loop_u.guard == Unary("!", Binary(
         "||", Binary(">=", VarRef("i"), IntLit(3)), VarRef("g")))
+
+
+USER_SELF_TRANSITION = """
+var b : bool = false;
+var x : int = 0;
+var y : int = 0;
+step s0 { }
+step s1 { entry E { x := x + 10; } active A { y := y + 1; } }
+step s2 { }
+trans T0 : s0 -> s1;
+trans T : s1 -> s1 when b;
+trans X : s1 -> s2 when y > 2;
+trans Tend : s2 -> s0;
+init s0;
+"""
+
+
+def test_user_self_transition_is_an_ordinary_transition():
+    """Only ``s1__u`` runs s1's active body; the SFC transition T from s1
+    to itself runs its entry block, like leaving and entering s1."""
+    net = translate(parse_sfc(USER_SELF_TRANSITION))
+    trace = simulate(net, fuel=20)
+    assert trace.stopped == "sync"
+    assert trace.final.state == {"b": False, "x": 10, "y": 3}
+    transforms = {str(p["rounds"]): p["r"]
+                  for p in json.loads(cover_to_json(path_constructor(net)))}
+    assert transforms["[['T']]"] == "{x := x + 10}"
+    assert transforms["[['s1__u']]"] == "{y := y + 1}"
 
 
 def test_translate_fork(pick_place_v1, nets):
