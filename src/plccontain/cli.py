@@ -50,8 +50,8 @@ class CheckConfig:
 
 
 def parse_map_file(text: str):
-    """Correspondence map: lines ``in p = p'``, ``out p = p'`` and
-    optional ``var v = v'`` hints; ``//`` comments."""
+    """Correspondence map: lines ``in p = p'``, ``out p = p'`` (each place
+    once) and optional ``var v = v'`` hints; ``//`` comments."""
     f_in, f_out, eta_v = {}, {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("//")[0].strip()
@@ -62,14 +62,16 @@ def parse_map_file(text: str):
             raise ConfigError(f"map line {lineno}: expected "
                               f"'in|out|var NAME = NAME', got {raw!r}")
         kind, left, _, right = parts
-        if kind == "in":
-            f_in[left] = right
-        elif kind == "out":
-            f_out[left] = right
-        elif kind == "var":
+        table = {"in": f_in, "out": f_out}.get(kind)
+        if kind == "var":
             eta_v.append((left, right))
-        else:
+        elif table is None:
             raise ConfigError(f"map line {lineno}: unknown kind {kind!r}")
+        elif left in table:
+            raise ConfigError(f"map line {lineno}: {kind} place {left!r} "
+                              "is already mapped")
+        else:
+            table[left] = right
     return f_in, f_out, eta_v
 
 

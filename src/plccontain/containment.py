@@ -205,15 +205,6 @@ def compare_paths(alpha: Path, beta: Path, corr: Correspondences,
     return repaired if repaired.ok else res
 
 
-def path_equiv(alpha: Path, beta: Path, corr: Correspondences,
-               n0: PetriNet, n1: PetriNet,
-               settings: NormSettings = DEFAULT_SETTINGS) -> bool:
-    """Path equivalence under the current correspondences: sources
-    correspond, conditions (and so effective tick counts) and
-    transformations agree after uncommon variables are removed."""
-    return compare_paths(alpha, beta, corr, n0, n1, settings).ok
-
-
 def _by_id(path: Path):
     return natural_key(path.id)
 
@@ -413,7 +404,7 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
     pi0 = list(cover0.paths)
     pi1 = list(cover1.paths)
     pairs = []
-    failures0, failures1 = {}, {}
+    failures = ({}, {})  # cover-path id -> the clause resolve failed
     seen_ext = set()
 
     def compare_all(alpha):
@@ -471,11 +462,11 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
              if r.clause in (CLAUSE_CONDITION, CLAUSE_TRANSFORM)),
             results[0])
         for oid in alpha.parts:
-            failures0.setdefault(oid, res.clause)
+            failures[0].setdefault(oid, res.clause)
         pi0.remove(alpha)
         if res.clause != CLAUSE_PLACES:
             for oid in beta.parts:
-                failures1.setdefault(oid, res.clause)
+                failures[1].setdefault(oid, res.clause)
             _bind_posts(alpha, beta, corr, n0, n1)
             pi1.remove(beta)
 
@@ -496,15 +487,26 @@ def containment_checker(n0: PetriNet, n1: PetriNet, f_in: dict = None,
         # a pass that moved nothing changed no state, so its results stand
         resolve(*stuck)
 
-    def unmatched(cover, side, failures):
-        # matched: a part of a matched pair and of no path resolve failed
-        matched = {o for m in pairs for o in m[side].parts} - failures.keys()
-        return tuple((p.id, failures.get(p.id, CLAUSE_NO_CANDIDATE))
+    # a cover path is matched exactly when it is a part of a listed pair,
+    # and a pair is listed only if resolve failed none of its parts. The
+    # rest of a dropped pair takes its first failure's clause; every clause
+    # is read before any is written, so no drop cascades.
+    clauses = [next((failures[s][o] for s in (0, 1) for o in m[s].parts
+                     if o in failures[s]), None) for m in pairs]
+    listed = [m for m, c in zip(pairs, clauses) if c is None]
+    for m, c in zip(pairs, clauses):
+        for s in (0, 1) if c else ():
+            for o in m[s].parts:
+                failures[s].setdefault(o, c)
+
+    def unmatched(cover, side):
+        matched = {o for m in listed for o in m[side].parts}
+        return tuple((p.id, failures[side].get(p.id, CLAUSE_NO_CANDIDATE))
                      for p in cover.paths if p.id not in matched)
 
-    unmatched0 = unmatched(cover0, 0, failures0)
-    unmatched1 = unmatched(cover1, 1, failures1)
-    ledger = EquivLedger(pairs, unmatched0, unmatched1)
+    unmatched0 = unmatched(cover0, 0)
+    unmatched1 = unmatched(cover1, 1)
+    ledger = EquivLedger(listed, unmatched0, unmatched1)
 
     if not unmatched0 and not unmatched1:
         code = VERDICT_EQUIVALENT

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from plccontain.benchmarks import BranchSeg, LoopSeg, Shape, Straight, render
+from plccontain.containment import compare_paths
 from plccontain.petri_net import PetriNet, Place, PnTransition
 from plccontain.sfc_core import (Binary, BoolLit, IntLit, TRUE, Unary,
                                  VarDecl, VarRef, parse_sfc)
@@ -171,3 +172,30 @@ def build_chain(kind: str, k: int):
 @pytest.fixture(scope="session")
 def chain():
     return build_chain
+
+
+def check_ledger(verdict) -> None:
+    """Re-derive a verdict from its ledger alone, as translation validation
+    does. Each cover path is a part of a listed pair or unmatched, never
+    both; a side is contained exactly when every cover path of it is a
+    part of a listed pair; and under a containment verdict every listed
+    pair compares equal again under the final correspondences, with no
+    new eta_v pair. That last check is left out for MAY_NOT_BE_EQUIVALENT:
+    eta_p only grows, so the image of an early pair's pre-places can widen
+    past its partner's."""
+    # the sides (0 is N0, 1 is N1) the verdict claims are contained
+    contained = {"EQUIVALENT": (0, 1), "N0_IN_N1": (0,), "N1_IN_N0": (1,),
+                 "MAY_NOT_BE_EQUIVALENT": ()}[verdict.code]
+    led = verdict.ledger
+    covers = (verdict.cover0, verdict.cover1)
+    for side, unmatched in enumerate((led.unmatched0, led.unmatched1)):
+        ids = [p.id for p in covers[side].paths]
+        matched = {o for m in led.pairs for o in m[side].parts}
+        unmatched_ids = [pid for pid, _ in unmatched]
+        assert sorted(list(matched) + unmatched_ids) == sorted(ids), side
+        assert (matched == set(ids)) == (side in contained), side
+    if contained:
+        corr = verdict.correspondences
+        for a, b in led.pairs:
+            res = compare_paths(a, b, corr, covers[0].net, covers[1].net)
+            assert res.ok and not res.new_pairs, (a.id, b.id, res.clause)

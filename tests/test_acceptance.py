@@ -8,7 +8,7 @@ import pytest
 
 from plccontain import symbolic as sy
 from plccontain.benchmarks import CLASSES, gen_bench
-from plccontain.containment import containment_checker
+from plccontain.containment import compare_paths, containment_checker
 from plccontain.mutation import MutationInapplicable, MutationSpec, mutate
 from plccontain.oracle import confirm_equivalent
 from plccontain.path_engine import (concatenate, merge, path_constructor,
@@ -110,9 +110,8 @@ def test_criterion_3_micro_checks(nets, covers):
     beta_m = merge([by1["b5"], by1["b6"]], c1)
     alpha_e = concatenate(by0["a4"], by0["a5"])
     verdict = containment_checker(n0, n1, dict(F_IN), dict(PICK_PLACE_FOUT))
-    from plccontain.containment import path_equiv
-
-    assert path_equiv(alpha_e, beta_m, verdict.correspondences, n0, n1)
+    assert compare_paths(alpha_e, beta_m, verdict.correspondences, n0,
+                         n1).ok
     _report("criterion 3",
             "b1.b2 drops S to 'L1 ~> C1 ~> !C1'; a3.a4 transform is "
             "{a := a*10, b := b/10, I := I+1}; body merge b5 v b6 is "

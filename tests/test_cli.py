@@ -170,6 +170,20 @@ def test_check_rejects_bad_var_hints(tmp_path, capsys, hints, why):
         f"error: var hint {hints[-1]}: {why}"]
 
 
+def test_check_rejects_a_place_mapped_twice(tmp_path, capsys):
+    # a later line must not silently override an earlier one
+    text = pathlib.Path(MAP).read_text().replace(
+        "out s4 = s4\n", "out s4 = s13\nout s4 = s4\n")
+    bad = tmp_path / "twice.map"
+    bad.write_text(text)
+    lineno = text.splitlines().index("out s4 = s4") + 1
+    rc = main(["check", V0, V1, "--map", str(bad),
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"error: map line {lineno}: out place 's4' is already mapped"]
+
+
 def test_check_keeps_a_valid_var_hint(tmp_path):
     hinted = tmp_path / "hinted.map"
     hinted.write_text(pathlib.Path(MAP).read_text() + "var I = J\n")
@@ -214,6 +228,8 @@ def test_parse_map_file():
         parse_map_file("through s0 = s1\n")
     with pytest.raises(ConfigError):
         parse_map_file("in s0 s1\n")
+    with pytest.raises(ConfigError, match="line 2: in place 's0'"):
+        parse_map_file("in s0 = s0\nin s0 = s1\n")
 
 
 def test_check_config_defaults():

@@ -7,7 +7,7 @@ from plccontain.containment import (ConfigError, Correspondences,
                                     EquivLedger, bisim_degree,
                                     compare_paths, containment_checker,
                                     default_correspondences,
-                                    path_equiv, prepare_for_extension,
+                                    prepare_for_extension,
                                     prepare_for_merging, select_candidates,
                                     validate_bijections)
 from plccontain.benchmarks import gen_bench
@@ -17,7 +17,7 @@ from plccontain.petri_net import translate
 from plccontain.report import build_report, render_text
 
 from conftest import (PICK_PLACE_FOUT, SHARED_ARMS_N0, SHARED_ARMS_N1,
-                      SPLIT_FOUT)
+                      SPLIT_FOUT, check_ledger)
 
 F_IN = {"s0": "s0"}
 
@@ -29,7 +29,7 @@ def verdict(nets):
 
 
 # ---------------------------------------------------------------------------
-# path_equiv
+# compare_paths
 
 
 def test_alpha1_equiv_extended_b1_b2(nets, covers, verdict):
@@ -37,7 +37,8 @@ def test_alpha1_equiv_extended_b1_b2(nets, covers, verdict):
     c0, c1 = covers
     by0, by1 = c0.by_id(), c1.by_id()
     ext = concatenate(by1["b1"], by1["b2"])
-    assert path_equiv(by0["a1"], ext, verdict.correspondences, n0, n1)
+    assert compare_paths(by0["a1"], ext, verdict.correspondences, n0,
+                         n1).ok
 
 
 def test_alpha2_equiv_b3_under_eta_v(nets, covers):
@@ -51,7 +52,8 @@ def test_alpha2_equiv_b3_under_eta_v(nets, covers):
         eta_v=[("I", "J")],
         v0_vars=frozenset(v.name for v in n0.vars),
         v1_vars=frozenset(v.name for v in n1.vars))
-    assert path_equiv(c0.by_id()["a2"], c1.by_id()["b3"], corr, n0, n1)
+    assert compare_paths(c0.by_id()["a2"], c1.by_id()["b3"], corr, n0,
+                         n1).ok
 
 
 def test_path_equiv_reflexive(nets, covers):
@@ -64,7 +66,7 @@ def test_path_equiv_reflexive(nets, covers):
         v0_vars=frozenset(v.name for v in n0.vars),
         v1_vars=frozenset(v.name for v in n0.vars))
     for path in c0.paths:
-        assert path_equiv(path, path, corr, n0, n0)
+        assert compare_paths(path, path, corr, n0, n0).ok
 
 
 def test_compare_reports_tick_clause(nets, covers, verdict):
@@ -237,6 +239,15 @@ def test_split_variant_not_established(nets, pick_place_split):
     v = containment_checker(n0, n2, dict(F_IN), dict(SPLIT_FOUT))
     assert v.code == "MAY_NOT_BE_EQUIVALENT"
     assert 1 - float(v.bisim_degree) > 0.5
+
+
+@pytest.mark.parametrize("upgrade,f_out", [("pick_place_v1", PICK_PLACE_FOUT),
+                                           ("pick_place_split", SPLIT_FOUT)])
+def test_corpus_ledgers_rederive_their_verdicts(request, nets, upgrade,
+                                                f_out):
+    n0, _ = nets
+    n1 = translate(request.getfixturevalue(upgrade))
+    check_ledger(containment_checker(n0, n1, dict(F_IN), dict(f_out)))
 
 
 def test_arm_reading_the_other_arms_write_is_not_matched():

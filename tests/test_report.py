@@ -1,13 +1,19 @@
 import json
+import pathlib
 
 import pytest
 
+from plccontain.benchmarks import gen_bench
 from plccontain.containment import containment_checker
+from plccontain.mutation import MutationSpec, mutate
+from plccontain.petri_net import translate
 from plccontain.report import build_report, render_json, render_text
 
 from conftest import PICK_PLACE_FOUT
 
 F_IN = {"s0": "s0"}
+SCHEMA = (pathlib.Path(__file__).resolve().parent.parent / "docs" /
+          "report.schema.json")
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +27,16 @@ def report(nets):
 def equal_report(nets):
     n0, _ = nets
     return build_report(containment_checker(n0, n0))
+
+
+@pytest.fixture(scope="module")
+def retracted_report():
+    """basic seed 0 against its type1 mutant: resolve fails b3 and a5, so
+    the pairs (a3, b3) and (a5, b5) leave the ledger."""
+    v0, _ = gen_bench("basic", 0, certify=False)
+    mutant = mutate(v0, MutationSpec("type1", 0), certify=False)
+    return build_report(containment_checker(translate(v0),
+                                            translate(mutant)))
 
 
 def test_text_leads_with_verdict(report):
@@ -90,25 +106,29 @@ def test_report_bytes_deterministic(nets):
     assert a.encode() == b.encode()
 
 
-def test_json_matches_schema(report):
-    import pathlib
+def test_dropped_pair_parts_take_its_clause(retracted_report):
+    # a3 and b5 were matched before their pairs left the ledger, so they
+    # read the clause that failed their partner, not "no candidate"
+    doc = retracted_report
+    assert doc["verdict"] == "MAY_NOT_BE_EQUIVALENT"
+    matched = {(m["n0"]["id"], m["n1"]["id"]) for m in doc["matched"]}
+    assert not matched & {("a3", "b3"), ("a5", "b5")}
+    clause0 = {d["id"]: d["clause"] for d in doc["unmatched_n0_detail"]}
+    clause1 = {d["id"]: d["clause"] for d in doc["unmatched_n1_detail"]}
+    assert clause0["a3"] == clause1["b3"] == "condition mismatch"
+    assert clause0["a5"] == clause1["b5"] == "condition mismatch"
 
-    schema_path = (pathlib.Path(__file__).resolve().parent.parent /
-                   "docs" / "report.schema.json")
-    schema = json.loads(schema_path.read_text())
-    doc = json.loads(render_json(report))
-    for key, spec in schema["properties"].items():
-        assert key in doc
-        kind = spec["type"]
-        value = doc[key]
-        if kind == "string":
-            assert isinstance(value, str)
-        elif kind == "number":
-            assert isinstance(value, (int, float))
-        elif kind == "integer":
-            assert isinstance(value, int)
-        elif kind == "array":
-            assert isinstance(value, list)
-        elif kind == "object":
-            assert isinstance(value, dict)
-    assert set(schema["required"]) <= set(doc)
+
+def test_json_matches_schema(report, retracted_report):
+    from jsonschema import Draft7Validator
+
+    schema = json.loads(SCHEMA.read_text())
+    Draft7Validator.check_schema(schema)
+    validator = Draft7Validator(schema)
+    for rep in (report, retracted_report):
+        doc = json.loads(render_json(rep))
+        assert [e.message for e in validator.iter_errors(doc)] == []
+    # the whole document is checked, down to each clause
+    bad = json.loads(render_json(retracted_report))
+    bad["unmatched_n0_detail"][0]["clause"] = "no reason"
+    assert not validator.is_valid(bad)

@@ -15,6 +15,8 @@ from plccontain.mutation import (MUTATION_KINDS, MutationInapplicable,
 from plccontain.oracle import confirm_containment, run_outcome
 from plccontain.petri_net import translate
 
+from conftest import check_ledger
+
 # (seeds, mutation counts) of the narrow sweep, in Tier-1, and of the
 # wide one, about 45 s
 SWEEPS = {"narrow": (range(10), (0,)), "wide": (range(30), (0, 1, 2))}
@@ -66,6 +68,7 @@ def test_mutant_sweep_against_oracle(sweep, monkeypatch):
     for key, n0, n1 in _mutant_pairs(*SWEEPS[sweep]):
         f_in, f_out = default_correspondences(n0, n1)
         verdict = containment_checker(n0, n1, f_in, f_out)
+        check_ledger(verdict)
         corr = verdict.correspondences
         shared = [pair for pair in corr.eta_v if set(pair) & corr.common]
         if shared:
